@@ -104,6 +104,37 @@ void BM_TransformerDecodeStep(benchmark::State& state) {
 }
 BENCHMARK(BM_TransformerDecodeStep)->Arg(64)->Arg(192);
 
+// One turn of a returning session as the engine serves it: the history is
+// loaded from its serialized form (a cache with no K mirror, so the first
+// forward pays the §3.4 re-embedding of the whole history), then a 32-token
+// prompt is prefilled and 16 tokens are decoded greedily. Arg = history
+// length. BM_TransformerDecodeStep clones a cache whose mirror is already
+// complete, so it prices a decode step, not a turn.
+void BM_TransformerTurn(benchmark::State& state) {
+  constexpr std::size_t kPrompt = 32;
+  constexpr std::size_t kDecode = 16;
+  const Transformer& model = BenchModel();
+  const auto history = BenchTokens(static_cast<std::size_t>(state.range(0)) + kPrompt);
+  KvCache warm = model.MakeCache(PeMode::kDecoupled);
+  (void)model.Forward(std::span<const TokenId>(history).first(history.size() - kPrompt), warm);
+  const std::vector<std::uint8_t> bytes = warm.Serialize();
+  const std::span<const TokenId> prompt = std::span<const TokenId>(history).last(kPrompt);
+  for (auto _ : state) {
+    auto cache = KvCache::Deserialize(model.config(), bytes);
+    CA_CHECK(cache.ok());
+    Tensor logits = model.Forward(prompt, *cache);
+    TokenId next = model.Argmax(logits, kPrompt - 1);
+    for (std::size_t i = 0; i < kDecode; ++i) {
+      const TokenId tok[] = {next};
+      logits = model.Forward(tok, *cache);
+      next = model.Argmax(logits, 0);
+    }
+    benchmark::DoNotOptimize(next);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kPrompt + kDecode));
+}
+BENCHMARK(BM_TransformerTurn)->Arg(64)->Arg(192);
+
 void BM_TransformerPrefillThreads(benchmark::State& state) {
   const auto& model = BenchModelThreads(4);
   const auto tokens = BenchTokens(static_cast<std::size_t>(state.range(0)));

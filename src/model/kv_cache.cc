@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "src/common/check.h"
+#include "src/common/parallel_for.h"
 
 namespace ca {
 
@@ -25,7 +26,14 @@ static_assert(sizeof(SerializedHeader) == KvCache::kSerializedHeaderBytes,
 }  // namespace
 
 KvCache::KvCache(const ModelConfig& config, PeMode pe_mode)
-    : pe_mode_(pe_mode), kv_dim_(config.kv_dim()), k_(config.n_layers), v_(config.n_layers) {
+    : pe_mode_(pe_mode),
+      kv_dim_(config.kv_dim()),
+      head_dim_(config.head_dim()),
+      context_window_(config.context_window),
+      k_(config.n_layers),
+      v_(config.n_layers),
+      k_mirror_(config.n_layers),
+      mirror_len_(config.n_layers, 0) {
   config.Validate();
 }
 
@@ -74,6 +82,70 @@ void KvCache::Reserve(std::size_t total_tokens) {
       v_[layer].reserve(floats);
     }
   }
+  GrowKMirror(total_tokens);
+}
+
+void KvCache::GrowKMirror(std::size_t tokens) {
+  if (tokens <= mirror_stride_) {
+    return;
+  }
+  const std::size_t stride = std::max(tokens, std::min(2 * mirror_stride_, context_window_));
+  for (std::size_t layer = 0; layer < k_mirror_.size(); ++layer) {
+    std::vector<float>& mirror = k_mirror_[layer];
+    if (mirror.empty()) {
+      continue;  // allocated by the layer's first SyncKMirror
+    }
+    std::vector<float> grown(kv_dim_ * stride);
+    const std::size_t rows = mirror_len_[layer];
+    for (std::size_t d = 0; d < kv_dim_; ++d) {
+      std::memcpy(grown.data() + d * stride, mirror.data() + d * mirror_stride_,
+                  rows * sizeof(float));
+    }
+    mirror = std::move(grown);
+  }
+  mirror_stride_ = stride;
+}
+
+void KvCache::InvalidateKMirror() { std::fill(mirror_len_.begin(), mirror_len_.end(), 0); }
+
+std::size_t KvCache::k_mirror_len(std::size_t layer) const {
+  CA_CHECK_LT(layer, mirror_len_.size());
+  return mirror_len_[layer];
+}
+
+KvCache::KMirror KvCache::SyncKMirror(std::size_t layer, const RopeTable& rope,
+                                      ThreadPool* pool) {
+  const std::size_t len = layer_len(layer);
+  CA_CHECK_LE(mirror_len_[layer], len);
+  CA_CHECK_EQ(rope.head_dim(), head_dim_);
+  GrowKMirror(len);
+  std::vector<float>& mirror = k_mirror_[layer];
+  if (mirror.empty()) {
+    mirror.resize(kv_dim_ * mirror_stride_);
+  }
+  const std::size_t stride = mirror_stride_;
+  const std::size_t n_kv_heads = kv_dim_ / head_dim_;
+  const float* k_rows = k_[layer].data();
+  float* out = mirror.data();
+  const bool rotate = pe_mode_ == PeMode::kDecoupled;
+  ParallelFor(pool, mirror_len_[layer], len, /*grain=*/32,
+              [&](std::size_t row_begin, std::size_t row_end) {
+                for (std::size_t t = row_begin; t < row_end; ++t) {
+                  for (std::size_t g = 0; g < n_kv_heads; ++g) {
+                    const float* src = k_rows + t * kv_dim_ + g * head_dim_;
+                    float* dst = out + g * head_dim_ * stride + t;
+                    if (rotate) {
+                      rope.RotateInto(src, t, dst, stride);
+                    } else {
+                      for (std::size_t i = 0; i < head_dim_; ++i) {
+                        dst[i * stride] = src[i];
+                      }
+                    }
+                  }
+                }
+              });
+  mirror_len_[layer] = len;
+  return {out, stride};
 }
 
 std::span<const float> KvCache::LayerK(std::size_t layer) const {
@@ -101,10 +173,12 @@ std::span<const float> KvCache::V(std::size_t layer, std::size_t token) const {
 std::span<float> KvCache::MutableK(std::size_t layer, std::size_t token) {
   CA_CHECK_LT(layer, k_.size());
   CA_CHECK_LT(token, layer_len(layer));
+  mirror_len_[layer] = std::min(mirror_len_[layer], token);
   return {k_[layer].data() + token * kv_dim_, kv_dim_};
 }
 
 void KvCache::TruncateFront(std::size_t n_tokens) {
+  InvalidateKMirror();
   for (std::size_t layer = 0; layer < k_.size(); ++layer) {
     const std::size_t len = layer_len(layer);
     const std::size_t drop = std::min(n_tokens, len);
@@ -119,6 +193,7 @@ void KvCache::DiscardTokens(std::span<const std::size_t> discard) {
   if (discard.empty()) {
     return;
   }
+  InvalidateKMirror();
   const std::size_t len = seq_len();
   std::vector<bool> keep(len, true);
   for (const std::size_t idx : discard) {
@@ -153,6 +228,7 @@ void KvCache::Clear() {
   for (auto& layer : v_) {
     layer.clear();
   }
+  InvalidateKMirror();
 }
 
 std::uint64_t KvCache::byte_size() const {

@@ -3,11 +3,19 @@
 // Layout: per transformer layer, two contiguous fp32 arrays K and V of shape
 // [seq_len, kv_dim]. The positional-encoding mode decides what K rows hold:
 //  * PeMode::kDecoupled (CachedAttention) — K is stored pre-RoPE. Positions
-//    are re-embedded by the attention kernel at load time, so TruncateFront
-//    keeps the cache valid (§3.4).
+//    are re-embedded into the K mirror (below) once per loaded cache, so
+//    TruncateFront keeps the cache valid (§3.4).
 //  * PeMode::kCoupled (conventional) — K is stored post-RoPE at the position
 //    each token had when it was computed. TruncateFront on such a cache
 //    produces the paper's NKVT corruption.
+//
+// Next to the cached K the cache keeps a position-encoded K mirror, the
+// layout the attention kernels read: per layer, per KV head,
+// dimension-major ([kv_head][dim][pos], row stride k_mirror_stride()).
+// The forward pass extends it for the rows it has not seen yet
+// (SyncKMirror); anything that shifts or rewrites K rows invalidates it. The
+// mirror is derived state: it is not serialised, not counted in byte_size()
+// and a freshly deserialised cache starts without one.
 //
 // The cache serialises to a flat byte buffer so AttentionStore can move it
 // across memory/disk tiers without knowing the tensor layout.
@@ -22,7 +30,9 @@
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/common/thread_pool.h"
 #include "src/model/config.h"
+#include "src/model/rope.h"
 
 namespace ca {
 
@@ -49,34 +59,60 @@ class KvCache {
   // already that large). Called by the forward pass with history + new so a
   // prefill appends into storage grown once up front instead of paying
   // vector regrowth copies mid-pass; also keeps LayerK/LayerV spans stable
-  // across the Appends of one forward.
+  // across the Appends of one forward. The K mirror's row stride grows here
+  // too, geometrically (capped at the context window), so a decode step
+  // does not re-lay the mirror out.
   void Reserve(std::size_t total_tokens);
 
   // Row accessors.
   std::span<const float> K(std::size_t layer, std::size_t token) const;
   std::span<const float> V(std::size_t layer, std::size_t token) const;
+  // Invalidates the K mirror of `layer` from `token` on.
   std::span<float> MutableK(std::size_t layer, std::size_t token);
 
-  // Whole-layer accessors for the attention hot loop: token t's row occupies
+  // Whole-layer accessors (LayerV feeds the attention value kernel; scores
+  // read the K mirror below): token t's row occupies
   // [t * kv_dim(), (t + 1) * kv_dim()). Bounds-checked once per layer
   // instead of once per (token, head) like K()/V().
   std::span<const float> LayerK(std::size_t layer) const;
   std::span<const float> LayerV(std::size_t layer) const;
 
+  // Position-encoded K of one layer, dimension-major: element (kv head g,
+  // dim i, token t) is data[(g * head_dim + i) * stride + t].
+  struct KMirror {
+    const float* data;
+    std::size_t stride;
+  };
+
+  // Brings layer's K mirror up to layer_len(layer) and returns it. Only the
+  // rows [k_mirror_len(layer), layer_len(layer)) are encoded: kDecoupled
+  // rotates each raw row to its current index with `rope` (the §3.4
+  // re-embedding, paid once per loaded cache instead of once per forward),
+  // kCoupled copies the already rotated row. Rows are encoded in parallel
+  // on `pool` (nullptr = serial); the result does not depend on it.
+  KMirror SyncKMirror(std::size_t layer, const RopeTable& rope, ThreadPool* pool);
+
+  // Rows of `layer` the K mirror currently holds (tests).
+  std::size_t k_mirror_len(std::size_t layer) const;
+  // Row stride (in tokens) of every layer's K mirror.
+  std::size_t k_mirror_stride() const { return mirror_stride_; }
+
   // Drops the oldest `n_tokens` tokens from every layer. With kDecoupled
   // this is the paper's KV cache truncation; with kCoupled it deliberately
   // reproduces NKVT's positional corruption (kept for the baseline).
+  // Invalidates the K mirror: every surviving row moves to a new index.
   void TruncateFront(std::size_t n_tokens);
 
   // Keeps only tokens whose index is NOT in `discard` (token-discarding-list
   // support for KV compression schemes, §3.4). Indices refer to current
-  // positions; out-of-range entries are ignored.
+  // positions; out-of-range entries are ignored. Invalidates the K mirror.
   void DiscardTokens(std::span<const std::size_t> discard);
 
-  // Removes all cached tokens.
+  // Removes all cached tokens (and the K mirror's rows; its storage stays).
   void Clear();
 
-  // fp32 byte footprint of the cached tensors (excludes header).
+  // fp32 byte footprint of the cached tensors (excludes header and the K
+  // mirror).
   std::uint64_t byte_size() const;
 
   KvCache Clone() const;
@@ -242,11 +278,24 @@ class KvCache {
   };
 
  private:
+  // Grows every allocated mirror's row stride to at least `tokens`,
+  // keeping the rows it holds.
+  void GrowKMirror(std::size_t tokens);
+  void InvalidateKMirror();
+
   PeMode pe_mode_;
   std::size_t kv_dim_;
+  std::size_t head_dim_;
+  std::size_t context_window_;
   // Indexed [layer]; each holds layer_len * kv_dim floats.
   std::vector<std::vector<float>> k_;
   std::vector<std::vector<float>> v_;
+  // Indexed [layer]; each holds kv_dim * mirror_stride_ floats once the
+  // layer's mirror is first synced (empty before). mirror_len_[layer] rows
+  // of it are valid.
+  std::vector<std::vector<float>> k_mirror_;
+  std::vector<std::size_t> mirror_len_;
+  std::size_t mirror_stride_ = 0;
 };
 
 }  // namespace ca

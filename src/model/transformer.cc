@@ -5,6 +5,7 @@
 
 #include "src/common/check.h"
 #include "src/common/parallel_for.h"
+#include "src/model/attention_kernels.h"
 #include "src/obs/trace.h"
 #include "src/tensor/ops.h"
 
@@ -33,7 +34,8 @@ std::vector<float>& ThreadScores(std::size_t total) {
 }  // namespace
 
 Transformer::Transformer(ModelConfig config, std::uint64_t seed)
-    : config_(std::move(config)), rope_(config_.head_dim(), config_.rope_theta) {
+    : config_(std::move(config)),
+      rope_(config_.head_dim(), config_.rope_theta, config_.context_window) {
   config_.Validate();
   Rng rng(seed);
   const auto d = config_.d_model;
@@ -89,7 +91,7 @@ void Transformer::AttentionBlock(std::size_t layer, Tensor& x, KvCache& cache,
   // rotated to its absolute position *before* caching (conventional
   // engines); in decoupled mode it is cached raw (§3.4). Forward() reserved
   // history + n tokens, so these appends never reallocate the layer storage
-  // and the LayerK/LayerV spans below stay stable.
+  // and the LayerV span below stays stable.
   CA_CHECK_EQ(cache.layer_len(layer), history_len);
   for (std::size_t t = 0; t < n; ++t) {
     const std::size_t pos = history_len + t;
@@ -99,29 +101,13 @@ void Transformer::AttentionBlock(std::size_t layer, Tensor& x, KvCache& cache,
     cache.Append(layer, {k.row(t), kv_dim}, {v.row(t), kv_dim});
   }
 
-  // K rows the attention dot products read, position-encoded:
-  //  * coupled — the cache already holds post-RoPE K; read it in place (no
-  //    per-step copy of the whole history);
-  //  * decoupled — re-embed position = current index into a reused scratch
-  //    buffer. This is the §3.4 re-embedding step that makes truncated
-  //    caches valid; it must materialise because the cached rows stay raw.
+  // Position-encoded K for the dot products, from the cache's mirror. Only
+  // rows this cache has not encoded yet are done here: the whole history
+  // once after a load or an invalidating mutation (decoupled: the §3.4
+  // re-embedding at each row's current index), then one row per decoded
+  // token.
   const std::size_t total = history_len + n;
-  const float* k_src;
-  if (cache.pe_mode() == PeMode::kCoupled) {
-    k_src = cache.LayerK(layer).data();
-  } else {
-    Tensor k_eff = scratch.Alloc2d(total, kv_dim);
-    const float* k_raw = cache.LayerK(layer).data();
-    ParallelFor(pool(), 0, total, /*grain=*/32,
-                [&](std::size_t row_begin, std::size_t row_end) {
-                  for (std::size_t t = row_begin; t < row_end; ++t) {
-                    float* row = k_eff.row(t);
-                    std::memcpy(row, k_raw + t * kv_dim, kv_dim * sizeof(float));
-                    rope_.ApplyAllHeads({row, kv_dim}, t);
-                  }
-                });
-    k_src = k_eff.data();
-  }
+  const KvCache::KMirror k_enc = cache.SyncKMirror(layer, rope_, pool());
 
   // Rotate Q at its absolute position (both modes).
   for (std::size_t t = 0; t < n; ++t) {
@@ -144,21 +130,16 @@ void Transformer::AttentionBlock(std::size_t layer, Tensor& x, KvCache& cache,
                   const std::size_t t = item / n_heads;
                   const std::size_t h = item % n_heads;
                   const std::size_t ctx = history_len + t + 1;  // causal horizon
-                  const std::size_t kv_off = (h / group) * head_dim;
+                  const std::size_t kv_head = h / group;
                   const float* qh = q.row(t) + h * head_dim;
-                  for (std::size_t j = 0; j < ctx; ++j) {
-                    scores[j] = DotUnchecked(qh, k_src + j * kv_dim + kv_off, head_dim) *
-                                inv_sqrt_d;
-                  }
+                  AttentionScores(qh, k_enc.data + kv_head * head_dim * k_enc.stride,
+                                  k_enc.stride, head_dim, ctx, inv_sqrt_d, scores.data());
                   SoftmaxRow({scores.data(), ctx});
                   if (observer != nullptr) {
                     observer->OnAttention(layer, h, history_len + t, {scores.data(), ctx});
                   }
-                  float* oh = attn_out.row(t) + h * head_dim;
-                  std::memset(oh, 0, head_dim * sizeof(float));
-                  for (std::size_t j = 0; j < ctx; ++j) {
-                    AxpyUnchecked(scores[j], v_base + j * kv_dim + kv_off, oh, head_dim);
-                  }
+                  AttentionValues(scores.data(), v_base + kv_head * head_dim, kv_dim, head_dim,
+                                  ctx, attn_out.row(t) + h * head_dim);
                 }
               });
 

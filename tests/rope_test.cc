@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -20,6 +21,9 @@ std::vector<float> RandomVec(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
+// Positions the tests below rotate to (PreservesNorm reaches 4096).
+constexpr std::size_t kPositions = 4097;
+
 float Norm(const std::vector<float>& v) {
   float s = 0.0f;
   for (const float x : v) {
@@ -29,7 +33,7 @@ float Norm(const std::vector<float>& v) {
 }
 
 TEST(RopeTest, PositionZeroIsIdentity) {
-  RopeTable rope(8, 10000.0f);
+  RopeTable rope(8, 10000.0f, kPositions);
   std::vector<float> v = RandomVec(8, 1);
   const std::vector<float> orig = v;
   rope.Apply(v, 0);
@@ -39,7 +43,7 @@ TEST(RopeTest, PositionZeroIsIdentity) {
 }
 
 TEST(RopeTest, PreservesNorm) {
-  RopeTable rope(16, 10000.0f);
+  RopeTable rope(16, 10000.0f, kPositions);
   for (std::size_t pos : {1UL, 7UL, 100UL, 4096UL}) {
     std::vector<float> v = RandomVec(16, pos);
     const float before = Norm(v);
@@ -49,7 +53,7 @@ TEST(RopeTest, PreservesNorm) {
 }
 
 TEST(RopeTest, InverseUndoesApply) {
-  RopeTable rope(32, 10000.0f);
+  RopeTable rope(32, 10000.0f, kPositions);
   std::vector<float> v = RandomVec(32, 3);
   const std::vector<float> orig = v;
   rope.Apply(v, 123);
@@ -63,7 +67,7 @@ TEST(RopeTest, InverseUndoesApply) {
 // This is what makes position re-embedding after truncation sound: shifting
 // all positions by the same offset leaves attention scores unchanged.
 TEST(RopeTest, ScoreDependsOnlyOnRelativePosition) {
-  RopeTable rope(16, 10000.0f);
+  RopeTable rope(16, 10000.0f, kPositions);
   const std::vector<float> q0 = RandomVec(16, 10);
   const std::vector<float> k0 = RandomVec(16, 11);
 
@@ -88,7 +92,7 @@ TEST(RopeTest, ScoreDependsOnlyOnRelativePosition) {
 }
 
 TEST(RopeTest, ApplyAllHeadsRotatesEachHead) {
-  RopeTable rope(4, 10000.0f);
+  RopeTable rope(4, 10000.0f, kPositions);
   std::vector<float> packed = RandomVec(12, 21);  // 3 heads x dim 4
   std::vector<float> head0(packed.begin(), packed.begin() + 4);
   std::vector<float> head2(packed.begin() + 8, packed.end());
@@ -102,7 +106,83 @@ TEST(RopeTest, ApplyAllHeadsRotatesEachHead) {
 }
 
 TEST(RopeDeathTest, OddDimAborts) {
-  EXPECT_DEATH(RopeTable(7, 10000.0f), "CA_CHECK failed");
+  EXPECT_DEATH(RopeTable(7, 10000.0f, kPositions), "CA_CHECK failed");
+}
+
+// The rotation formula RopeTable used before it precomputed its table:
+// cos/sin of pos * inv_freq[i], evaluated on every call.
+void FormulaApply(std::vector<float>& vec, std::size_t pos, float theta, bool inverse) {
+  const std::size_t head_dim = vec.size();
+  const auto p = static_cast<float>(pos);
+  for (std::size_t i = 0; i < head_dim / 2; ++i) {
+    const float inv_freq =
+        std::pow(theta, -2.0f * static_cast<float>(i) / static_cast<float>(head_dim));
+    const float angle = p * inv_freq;
+    const float c = std::cos(angle);
+    const float s = std::sin(angle);
+    const float x = vec[2 * i];
+    const float y = vec[2 * i + 1];
+    if (inverse) {
+      vec[2 * i] = x * c + y * s;
+      vec[2 * i + 1] = -x * s + y * c;
+    } else {
+      vec[2 * i] = x * c - y * s;
+      vec[2 * i + 1] = x * s + y * c;
+    }
+  }
+}
+
+// The table must reproduce the per-call formula bit for bit at every
+// position it covers: replies stay bitwise-identical across the change.
+TEST(RopeTest, TableMatchesFormulaBitwiseAtEveryPosition) {
+  struct Shape {
+    std::size_t dim;
+    float theta;
+    std::size_t positions;
+  };
+  for (const Shape shape : {Shape{16, 10000.0f, 256}, Shape{16, 10000.0f, 640},
+                            Shape{64, 500000.0f, 512}, Shape{8, 1000.0f, 4096}}) {
+    const RopeTable rope(shape.dim, shape.theta, shape.positions);
+    EXPECT_EQ(rope.max_positions(), shape.positions);
+    const std::vector<float> orig = RandomVec(shape.dim, shape.dim + shape.positions);
+    for (std::size_t pos = 0; pos < shape.positions; ++pos) {
+      for (const bool inverse : {false, true}) {
+        std::vector<float> table = orig;
+        std::vector<float> formula = orig;
+        if (inverse) {
+          rope.ApplyInverse(table, pos);
+        } else {
+          rope.Apply(table, pos);
+        }
+        FormulaApply(formula, pos, shape.theta, inverse);
+        ASSERT_EQ(std::memcmp(table.data(), formula.data(), shape.dim * sizeof(float)), 0)
+            << "dim " << shape.dim << " pos " << pos << " inverse " << inverse;
+      }
+    }
+  }
+}
+
+TEST(RopeTest, RotateIntoScattersApply) {
+  const RopeTable rope(8, 10000.0f, 64);
+  const std::vector<float> src = RandomVec(8, 5);
+  std::vector<float> applied = src;
+  rope.Apply(applied, 37);
+  constexpr std::size_t kStride = 3;
+  std::vector<float> scattered(8 * kStride, -1.0f);
+  rope.RotateInto(src.data(), 37, scattered.data(), kStride);
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(std::memcmp(&scattered[i * kStride], &applied[i], sizeof(float)), 0) << i;
+  }
+}
+
+TEST(RopeDeathTest, PositionBeyondTableAborts) {
+  const RopeTable rope(8, 10000.0f, 16);
+  std::vector<float> v = RandomVec(8, 2);
+  rope.Apply(v, 15);  // last covered position
+  EXPECT_DEATH(rope.Apply(v, 16), "CA_CHECK failed");
+  EXPECT_DEATH(rope.ApplyInverse(v, 1000), "CA_CHECK failed");
+  std::vector<float> packed = RandomVec(16, 3);
+  EXPECT_DEATH(rope.ApplyAllHeads(packed, 16), "CA_CHECK failed");
 }
 
 // Parameterised sweep over head dims and thetas: norm preservation and
@@ -112,7 +192,7 @@ class RopeSweep : public ::testing::TestWithParam<std::tuple<std::size_t, float>
 
 TEST_P(RopeSweep, RelativeInvariance) {
   const auto [dim, theta] = GetParam();
-  RopeTable rope(dim, theta);
+  RopeTable rope(dim, theta, kPositions);
   const std::vector<float> q0 = RandomVec(dim, dim);
   const std::vector<float> k0 = RandomVec(dim, dim + 1);
   auto score = [&](std::size_t m, std::size_t n) {

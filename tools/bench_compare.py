@@ -20,10 +20,11 @@ Two uses:
             advisory — CI's bench-smoke job fails on it.
 
   ingest    bench_compare.py --ingest RAW.json --rev LABEL --out BENCH.json
-            Appends one entry (rev label + name->metrics map) to the
-            trajectory file, creating it if missing. This is how
-            BENCH_kernels.json entries are produced; see README "Kernel
-            benchmarks".
+            Appends one entry (rev label, repetitions, host fingerprint and
+            name->metrics map) to the trajectory file, creating it if
+            missing. A run with --benchmark_repetitions=N is ingested as its
+            per-benchmark medians. This is how BENCH_kernels.json entries
+            are produced; see README "Kernel benchmarks".
 
 Both raw google-benchmark JSON ({"benchmarks": [...]}) and the trajectory
 format written by --ingest ({"schema": "ca-bench-kernels-v1",
@@ -42,33 +43,87 @@ from typing import Dict, Optional, Tuple
 
 SCHEMA = "ca-bench-kernels-v1"
 
-# Aggregate rows (name like "BM_Foo/8_mean") would double-count the base
-# benchmark; plain runs don't emit them but --benchmark_repetitions does.
+# Aggregate rows (name like "BM_Foo/8_median") that --benchmark_repetitions
+# adds after a benchmark's per-repetition rows.
 AGGREGATE_SUFFIXES = ("_mean", "_median", "_stddev", "_cv", "_min", "_max")
+
+# Host fields of the raw JSON's "context" block recorded with an ingested
+# entry, so entries measured on different machines can be told apart.
+HOST_FIELDS = ("num_cpus", "mhz_per_cpu", "library_build_type")
+
+
+def _aggregate_kind(bench: dict) -> Optional[str]:
+    """"median", "mean", ... for an aggregate row; None for a repetition."""
+    if "run_type" in bench:
+        if bench["run_type"] != "aggregate":
+            return None
+        return bench.get("aggregate_name")
+    for suffix in AGGREGATE_SUFFIXES:
+        if bench["name"].endswith(suffix):
+            return suffix[1:]
+    return None
+
+
+def _base_name(bench: dict) -> str:
+    """Benchmark name without an aggregate suffix."""
+    if bench.get("run_name"):
+        return bench["run_name"]
+    kind = _aggregate_kind(bench)
+    if kind and bench["name"].endswith("_" + kind):
+        return bench["name"][:-len(kind) - 1]
+    return bench["name"]
+
+
+def _metrics_of(bench: dict) -> dict:
+    return {
+        "real_time": bench["real_time"],
+        "cpu_time": bench.get("cpu_time"),
+        "time_unit": bench.get("time_unit", "ns"),
+        "items_per_second": bench.get("items_per_second"),
+        "bytes_per_second": bench.get("bytes_per_second"),
+    }
 
 
 def extract_metrics(doc: dict) -> Dict[str, dict]:
-    """Returns {benchmark name: metrics} from either accepted format."""
+    """Returns {benchmark name: metrics} from either accepted format.
+
+    A raw run with --benchmark_repetitions=N contributes, per benchmark, its
+    "median" aggregate row; without one, the repetition whose real_time is
+    the median (the lower one of the middle two for even N).
+    """
     if doc.get("schema") == SCHEMA:
         entries = doc.get("entries", [])
         if not entries:
             raise ValueError("trajectory file has no entries")
         return dict(entries[-1]["benchmarks"])
     if "benchmarks" in doc:
-        out = {}
+        repetitions: Dict[str, list] = {}
+        medians: Dict[str, dict] = {}
         for bench in doc["benchmarks"]:
-            name = bench["name"]
-            if name.endswith(AGGREGATE_SUFFIXES):
-                continue
-            out[name] = {
-                "real_time": bench["real_time"],
-                "cpu_time": bench.get("cpu_time"),
-                "time_unit": bench.get("time_unit", "ns"),
-                "items_per_second": bench.get("items_per_second"),
-                "bytes_per_second": bench.get("bytes_per_second"),
-            }
+            kind = _aggregate_kind(bench)
+            if kind is None:
+                repetitions.setdefault(_base_name(bench), []).append(bench)
+            elif kind == "median":
+                medians[_base_name(bench)] = bench
+        out = {}
+        for name, runs in repetitions.items():
+            if name in medians:
+                out[name] = _metrics_of(medians[name])
+            else:
+                ordered = sorted(runs, key=lambda b: b["real_time"])
+                out[name] = _metrics_of(ordered[(len(ordered) - 1) // 2])
         return out
     raise ValueError("unrecognised benchmark JSON (no 'benchmarks' or known schema)")
+
+
+def extract_run_info(doc: dict) -> dict:
+    """Repetition count and host fingerprint of a raw google-benchmark run."""
+    reps = [int(b.get("repetitions", 1)) for b in doc.get("benchmarks", [])]
+    context = doc.get("context", {})
+    return {
+        "repetitions": max(reps, default=1),
+        "host": {key: context.get(key) for key in HOST_FIELDS},
+    }
 
 
 def load_metrics(path: pathlib.Path) -> Dict[str, dict]:
@@ -195,7 +250,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_ingest(args: argparse.Namespace) -> int:
     raw = pathlib.Path(args.ingest)
     with raw.open() as f:
-        metrics = extract_metrics(json.load(f))
+        raw_doc = json.load(f)
+    metrics = extract_metrics(raw_doc)
     out_path = pathlib.Path(args.out)
     if out_path.exists():
         with out_path.open() as f:
@@ -205,7 +261,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             return 2
     else:
         doc = {"schema": SCHEMA, "entries": []}
-    doc["entries"].append({"rev": args.rev, "benchmarks": metrics})
+    doc["entries"].append({"rev": args.rev, **extract_run_info(raw_doc), "benchmarks": metrics})
     with out_path.open("w") as f:
         json.dump(doc, f, indent=2)
         f.write("\n")

@@ -38,6 +38,39 @@ def throughput_doc(rates):
     }
 
 
+def repeated_doc(times, aggregates=True):
+    """Raw google-benchmark JSON of a --benchmark_repetitions run.
+
+    times maps a benchmark name to its per-repetition real_times; with
+    aggregates, mean/median/stddev rows follow each benchmark's repetitions
+    as google-benchmark emits them.
+    """
+    rows = []
+    for name, reps in times.items():
+        for i, t in enumerate(reps):
+            rows.append({"name": name, "run_name": name, "run_type": "iteration",
+                         "repetitions": len(reps), "repetition_index": i,
+                         "real_time": t, "cpu_time": t, "time_unit": "ns",
+                         "items_per_second": 1e9 / t})
+        if aggregates:
+            ordered = sorted(reps)
+            mid = len(ordered) // 2
+            median = (ordered[mid] if len(ordered) % 2
+                      else (ordered[mid - 1] + ordered[mid]) / 2)
+            for kind, value in (("mean", sum(reps) / len(reps)), ("median", median),
+                                ("stddev", 1.0)):
+                rows.append({"name": f"{name}_{kind}", "run_name": name,
+                             "run_type": "aggregate", "aggregate_name": kind,
+                             "repetitions": len(reps), "real_time": value,
+                             "cpu_time": value, "time_unit": "ns",
+                             "items_per_second": 1e9 / value})
+    return {
+        "context": {"host_name": "test", "num_cpus": 4, "mhz_per_cpu": 2400,
+                    "library_build_type": "release"},
+        "benchmarks": rows,
+    }
+
+
 class ExtractTest(unittest.TestCase):
     def test_raw_format(self):
         metrics = bench_compare.extract_metrics(raw_doc({"BM_A/8": 100.0}))
@@ -48,6 +81,27 @@ class ExtractTest(unittest.TestCase):
         doc = raw_doc({"BM_A/8": 100.0, "BM_A/8_mean": 101.0, "BM_A/8_stddev": 2.0})
         metrics = bench_compare.extract_metrics(doc)
         self.assertEqual(sorted(metrics), ["BM_A/8"])
+
+    def test_repetitions_ingested_as_median_not_last(self):
+        # Three repetitions, the last one an outlier: the ingested figure is
+        # the median aggregate row, not whichever repetition came last.
+        doc = repeated_doc({"BM_A/8": [100.0, 150.0, 400.0], "BM_B": [90.0, 30.0, 60.0]})
+        metrics = bench_compare.extract_metrics(doc)
+        self.assertEqual(sorted(metrics), ["BM_A/8", "BM_B"])
+        self.assertEqual(metrics["BM_A/8"]["real_time"], 150.0)
+        self.assertEqual(metrics["BM_B"]["real_time"], 60.0)
+        self.assertEqual(metrics["BM_A/8"]["items_per_second"], 1e9 / 150.0)
+
+    def test_repetitions_without_aggregates_use_median_repetition(self):
+        doc = repeated_doc({"BM_A": [400.0, 150.0, 100.0]}, aggregates=False)
+        self.assertEqual(bench_compare.extract_metrics(doc)["BM_A"]["real_time"], 150.0)
+
+    def test_run_info_records_repetitions_and_host(self):
+        info = bench_compare.extract_run_info(repeated_doc({"BM_A": [1.0, 2.0, 3.0, 4.0, 5.0]}))
+        self.assertEqual(info["repetitions"], 5)
+        self.assertEqual(info["host"], {"num_cpus": 4, "mhz_per_cpu": 2400,
+                                        "library_build_type": "release"})
+        self.assertEqual(bench_compare.extract_run_info(raw_doc({"BM_A": 1.0}))["repetitions"], 1)
 
     def test_trajectory_uses_last_entry(self):
         doc = {
@@ -172,6 +226,17 @@ class CliTest(unittest.TestCase):
         self.assertEqual([e["rev"] for e in doc["entries"]], ["r1", "r2"])
         # The trajectory file is itself valid compare input (last entry wins).
         self.assertEqual(bench_compare.main([out, raw]), 0)
+
+    def test_ingest_of_repetitions_records_median_and_host(self):
+        raw = self.write("raw.json", repeated_doc({"BM_A": [100.0, 150.0, 400.0]}))
+        out = str(self.dir / "BENCH.json")
+        self.assertEqual(bench_compare.main(["--ingest", raw, "--rev", "r", "--out", out]), 0)
+        entry = json.loads(pathlib.Path(out).read_text())["entries"][0]
+        self.assertEqual(entry["repetitions"], 3)
+        self.assertEqual(entry["host"]["num_cpus"], 4)
+        self.assertEqual(entry["host"]["mhz_per_cpu"], 2400)
+        self.assertEqual(entry["host"]["library_build_type"], "release")
+        self.assertEqual(entry["benchmarks"]["BM_A"]["real_time"], 150.0)
 
 
 if __name__ == "__main__":
