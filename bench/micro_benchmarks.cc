@@ -117,10 +117,13 @@ void BM_TransformerTurn(benchmark::State& state) {
   const auto history = BenchTokens(static_cast<std::size_t>(state.range(0)) + kPrompt);
   KvCache warm = model.MakeCache(PeMode::kDecoupled);
   (void)model.Forward(std::span<const TokenId>(history).first(history.size() - kPrompt), warm);
-  const std::vector<std::uint8_t> bytes = warm.Serialize();
+  const std::vector<std::uint8_t> bytes = warm.SerializeTokenMajor();
   const std::span<const TokenId> prompt = std::span<const TokenId>(history).last(kPrompt);
   for (auto _ : state) {
-    auto cache = KvCache::Deserialize(model.config(), bytes);
+    KvCache::TokenMajorDeserializer deserializer(model.config(), PeMode::kDecoupled,
+                                                 warm.seq_len());
+    deserializer.Consume(bytes);
+    auto cache = deserializer.Finish();
     CA_CHECK(cache.ok());
     Tensor logits = model.Forward(prompt, *cache);
     TokenId next = model.Argmax(logits, kPrompt - 1);
@@ -151,7 +154,7 @@ void BM_KvCacheSerialize(benchmark::State& state) {
   const auto tokens = BenchTokens(static_cast<std::size_t>(state.range(0)));
   (void)BenchModel().Forward(tokens, cache);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.Serialize());
+    benchmark::DoNotOptimize(cache.SerializeTokenMajor());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(cache.byte_size()));
@@ -162,9 +165,12 @@ void BM_KvCacheDeserialize(benchmark::State& state) {
   KvCache cache = BenchModel().MakeCache(PeMode::kDecoupled);
   const auto tokens = BenchTokens(static_cast<std::size_t>(state.range(0)));
   (void)BenchModel().Forward(tokens, cache);
-  const auto bytes = cache.Serialize();
+  const auto bytes = cache.SerializeTokenMajor();
   for (auto _ : state) {
-    auto restored = KvCache::Deserialize(BenchModel().config(), bytes);
+    KvCache::TokenMajorDeserializer deserializer(BenchModel().config(), PeMode::kDecoupled,
+                                                 cache.seq_len());
+    deserializer.Consume(bytes);
+    auto restored = deserializer.Finish();
     benchmark::DoNotOptimize(restored);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -394,24 +400,18 @@ void BM_PrefixLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_PrefixLookup)->Arg(1024)->Arg(8192);
 
-// The checksum primitive itself: args are {bytes, use_avx2}. The AVX2 row
-// is skipped (reported as 0 iterations) on machines without the ISA.
+// The checksum primitive itself: arg is the buffer size in bytes.
 void BM_Checksum64(benchmark::State& state) {
-  const bool use_avx2 = state.range(1) != 0;
-  if (use_avx2 && !ChunkedHashAvx2Available()) {
-    state.SkipWithError("AVX2 not available");
-    return;
-  }
   std::vector<std::uint8_t> data(static_cast<std::size_t>(state.range(0)));
   for (std::size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<std::uint8_t>(i * 131u + 7u);
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(internal::ChecksumWithKernel(data, use_avx2));
+    benchmark::DoNotOptimize(Checksum64(data));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
 }
-BENCHMARK(BM_Checksum64)->Args({1 << 20, 0})->Args({1 << 20, 1})->Args({16 << 20, 1});
+BENCHMARK(BM_Checksum64)->Arg(1 << 20)->Arg(16 << 20);
 
 // The PR3 byte-serial FNV-1a this PR replaced, kept as the comparison
 // baseline for BM_Checksum64 (this is the ~0.8 GB/s curve that sank

@@ -14,12 +14,9 @@
 //  * ChunkedHash64 / Checksum64 — the store's payload checksum: eight
 //    independent 64-bit FNV-1a lanes over interleaved 8-byte words, so the
 //    multiplies of one 64-byte group pipeline instead of serializing. The
-//    bulk loop is runtime-dispatched like the matmul kernels in
-//    src/tensor/ops.cc, but by measurement rather than by ISA flag: AVX2
-//    has no 64-bit vector multiply, so on cores with strong scalar imul
-//    throughput the 8 pipelined scalar chains beat the decomposed vector
-//    multiply — the first use runs a one-shot shootout over a scratch
-//    buffer and keeps the faster kernel (same digest either way).
+//    bulk loop is plain scalar code: AVX2 has no 64-bit vector multiply,
+//    and a fold that decomposes it into 32-bit multiplies measures slower
+//    than these 8 pipelined chains (BM_Checksum64).
 //
 // ChunkedHash64 is chunk-boundary invariant: splitting the input into any
 // sequence of Update() calls yields the digest of the concatenation. That is
@@ -74,21 +71,6 @@ class ChunkedHash64 {
 
 // One-shot convenience over ChunkedHash64 (the read-side verifier).
 std::uint64_t Checksum64(std::span<const std::uint8_t> bytes);
-
-// Exposed for tests: true when the boot-time shootout selected the AVX2
-// bulk kernel (implies ChunkedHashAvx2Available()).
-bool ChunkedHashUsesAvx2();
-
-// True when this CPU can run the AVX2 bulk kernel at all, regardless of
-// which kernel the shootout picked. Gates the forced-AVX2 test/bench rows.
-bool ChunkedHashAvx2Available();
-
-namespace internal {
-// Test seam: digest `bytes` forcing the scalar (use_avx2=false) or AVX2
-// bulk kernel. The two must be bitwise identical wherever AVX2 exists;
-// requesting AVX2 on a CPU without it falls back to scalar.
-std::uint64_t ChecksumWithKernel(std::span<const std::uint8_t> bytes, bool use_avx2);
-}  // namespace internal
 
 }  // namespace ca
 

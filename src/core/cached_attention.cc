@@ -25,31 +25,6 @@ double SecondsSince(std::uint64_t start_ns) {
 // Adapters marrying the model-layer serialisation cursors to the store's
 // zero-copy payload protocol. The model cannot depend on the store (layering
 // DAG) and vice versa, so the glue lives here in core.
-class SerializerSource final : public PayloadSource {
- public:
-  explicit SerializerSource(KvCache::Serializer& serializer) : serializer_(serializer) {}
-
-  std::uint64_t size() const override { return serializer_.size(); }
-  void Reset() override { serializer_.Reset(); }
-  void Fill(std::span<std::uint8_t> dest) override { serializer_.Fill(dest); }
-
- private:
-  KvCache::Serializer& serializer_;
-};
-
-class DeserializerSink final : public PayloadSink {
- public:
-  explicit DeserializerSink(KvCache::StreamingDeserializer& deserializer)
-      : deserializer_(deserializer) {}
-
-  void Reset() override { deserializer_.Reset(); }
-  void Consume(std::span<const std::uint8_t> chunk) override { deserializer_.Consume(chunk); }
-
- private:
-  KvCache::StreamingDeserializer& deserializer_;
-};
-
-// Token-major counterparts (prefix sharing, DESIGN.md §17).
 class TokenMajorSource final : public PayloadSource {
  public:
   explicit TokenMajorSource(KvCache::TokenMajorSerializer& serializer)
@@ -63,9 +38,9 @@ class TokenMajorSource final : public PayloadSource {
   KvCache::TokenMajorSerializer* serializer_;
 };
 
-// ChunkedPayloadSource over the live cache: PutShared pulls exactly the
-// token ranges it misses on, each served by a fresh TokenMajorSerializer
-// cursor — dedup hits cost no serialization at all.
+// ChunkedPayloadSource over the live cache: Put pulls the whole range,
+// PutShared exactly the token ranges it misses on, each served by a fresh
+// TokenMajorSerializer cursor — dedup hits cost no serialization at all.
 class CacheChunkSource final : public ChunkedPayloadSource {
  public:
   explicit CacheChunkSource(const KvCache& cache) : cache_(&cache) {}
@@ -97,53 +72,64 @@ class TokenMajorSink final : public PayloadSink {
   KvCache::TokenMajorDeserializer* deserializer_;
 };
 
-// --- durable user-meta blob ---------------------------------------------
+// --- durable history blob ------------------------------------------------
 //
-// v1 (pre-sharing engines): the raw host-endian TokenId history, nothing
-// else. v2 (written only when prefix sharing is configured) prepends a
-// two-byte header so the purity bit survives a restart:
-//   [u8 version=2][u8 kv_pure][raw TokenId history bytes]
-// Decoding sniffs the version by exact length against the record's token
-// count — the two layouts differ by exactly 2 bytes, so a blob can never
-// satisfy both checks.
-constexpr std::uint8_t kHistoryMetaV2 = 2;
+// The user-meta blob every durable record carries, one layout:
+//   [u8 pe_mode][u8 kv_pure][u32 n_layers][u32 kv_dim][TokenId history...]
+// The history lets a restarted process rebuild the session; the KV shape
+// is what the headerless token-major payload was written with, so a store
+// reopened under a different model or PE mode is detected before any
+// payload is read. Host-endian, like the journal that carries it.
+struct KvShape {
+  std::uint8_t pe_mode = 0;
+  std::uint32_t n_layers = 0;
+  std::uint32_t kv_dim = 0;
 
-std::vector<std::uint8_t> EncodeHistoryMetaV2(std::span<const TokenId> history, bool kv_pure) {
-  std::vector<std::uint8_t> blob(2 + history.size() * sizeof(TokenId));
-  blob[0] = kHistoryMetaV2;
+  bool operator==(const KvShape&) const = default;
+};
+
+KvShape ShapeOf(const ModelConfig& config, PeMode pe_mode) {
+  return {.pe_mode = static_cast<std::uint8_t>(pe_mode),
+          .n_layers = static_cast<std::uint32_t>(config.n_layers),
+          .kv_dim = static_cast<std::uint32_t>(config.kv_dim())};
+}
+
+constexpr std::size_t kHistoryMetaHeaderBytes = 10;
+
+std::vector<std::uint8_t> EncodeHistoryMeta(const KvShape& shape, bool kv_pure,
+                                            std::span<const TokenId> history) {
+  std::vector<std::uint8_t> blob(kHistoryMetaHeaderBytes + history.size() * sizeof(TokenId));
+  blob[0] = shape.pe_mode;
   blob[1] = kv_pure ? 1 : 0;
-  std::memcpy(blob.data() + 2, history.data(), history.size() * sizeof(TokenId));
+  std::memcpy(blob.data() + 2, &shape.n_layers, sizeof(shape.n_layers));
+  std::memcpy(blob.data() + 6, &shape.kv_dim, sizeof(shape.kv_dim));
+  std::memcpy(blob.data() + kHistoryMetaHeaderBytes, history.data(),
+              history.size() * sizeof(TokenId));
   return blob;
 }
 
 struct DecodedHistoryMeta {
-  std::vector<TokenId> history;
+  KvShape shape;
   bool kv_pure = false;
+  std::vector<TokenId> history;
 };
 
+// nullopt unless the blob is exactly one header plus `token_count` tokens.
 std::optional<DecodedHistoryMeta> DecodeHistoryMeta(const std::vector<std::uint8_t>& meta,
                                                     std::uint64_t token_count) {
-  if (meta.empty() || token_count == 0) {
+  const std::uint64_t history_bytes = token_count * sizeof(TokenId);
+  if (token_count == 0 || meta.size() != kHistoryMetaHeaderBytes + history_bytes ||
+      meta[1] > 1) {
     return std::nullopt;
   }
   DecodedHistoryMeta out;
-  const std::uint64_t history_bytes = token_count * sizeof(TokenId);
-  if (meta.size() == 2 + history_bytes && meta[0] == kHistoryMetaV2 && meta[1] <= 1) {
-    out.kv_pure = meta[1] == 1;
-    out.history.resize(token_count);
-    std::memcpy(out.history.data(), meta.data() + 2, history_bytes);
-    return out;
-  }
-  if (meta.size() == history_bytes) {
-    // v1: no purity bit persisted; assume impure so the restored session
-    // never feeds unverifiable rows into the shared prefix index (the next
-    // full recompute restores purity and with it dedup eligibility).
-    out.kv_pure = false;
-    out.history.resize(token_count);
-    std::memcpy(out.history.data(), meta.data(), history_bytes);
-    return out;
-  }
-  return std::nullopt;
+  out.shape.pe_mode = meta[0];
+  out.kv_pure = meta[1] == 1;
+  std::memcpy(&out.shape.n_layers, meta.data() + 2, sizeof(out.shape.n_layers));
+  std::memcpy(&out.shape.kv_dim, meta.data() + 6, sizeof(out.shape.kv_dim));
+  out.history.resize(token_count);
+  std::memcpy(out.history.data(), meta.data() + kHistoryMetaHeaderBytes, history_bytes);
+  return out;
 }
 
 // The engine always stores real payloads: capacity-only mode exists for the
@@ -190,6 +176,7 @@ Status CachedAttentionEngine::RestoreSessions() {
     return Status::Ok();
   }
   MutexLock lock(mutex_);
+  const KvShape shape = ShapeOf(model_->config(), pe_mode());
   std::size_t restored = 0;
   std::size_t dropped = 0;
   // Recovery only resurrects the disk tier (memory tiers died with the old
@@ -200,10 +187,11 @@ Status CachedAttentionEngine::RestoreSessions() {
     const std::vector<std::uint8_t>* meta = store_.UserMeta(id);
     std::optional<DecodedHistoryMeta> decoded =
         meta != nullptr ? DecodeHistoryMeta(*meta, info->token_count) : std::nullopt;
-    if (!decoded.has_value()) {
+    if (!decoded.has_value() || decoded->shape != shape) {
       // KV bytes without a believable token history cannot serve a turn
-      // (PrepareCache needs the text to detect length mismatches). Soft
-      // state: drop to a clean miss.
+      // (PrepareCache needs the text to detect length mismatches), and KV
+      // written by a different model or PE mode cannot be parsed by this
+      // one. Soft state: drop to a clean miss.
       store_.Remove(id);
       ++dropped;
       continue;
@@ -215,7 +203,8 @@ Status CachedAttentionEngine::RestoreSessions() {
   }
   if (restored > 0 || dropped > 0) {
     CA_LOG(Info) << "restored " << restored << " session(s) from the durable store"
-                 << (dropped > 0 ? " (" + std::to_string(dropped) + " dropped: no usable history)"
+                 << (dropped > 0 ? " (" + std::to_string(dropped) +
+                                       " dropped: no usable history or a different KV shape)"
                                  : "");
   }
   return Status::Ok();
@@ -391,27 +380,16 @@ Status CachedAttentionEngine::PrepareCache(SessionId session, SessionState& stat
         // the history, never the turn.
         // Zero-copy load: the store streams tier bytes straight into the
         // deserializer (memory tiers hand over arena spans), which parses
-        // into the final tensor storage — no staging payload vector. On any
-        // non-OK read the half-built deserializer state is simply never
-        // Finish()ed, which is the discard the sink contract requires.
+        // into the final tensor storage — no staging payload vector. Put
+        // and PutShared records alike hold headerless token-major bytes;
+        // the shape is the record's token count and this engine's model.
+        // On any non-OK read the half-built deserializer state is simply
+        // never Finish()ed, which is the discard the sink contract requires.
+        KvCache::TokenMajorDeserializer deserializer(model_->config(), pe_mode(),
+                                                     static_cast<std::size_t>(info->token_count));
         bool payload_ok = false;
-        // Shared records (PutShared) carry headerless token-major bytes; the
-        // shape travels out of band (record token count + engine PE mode).
-        // Private records keep the legacy self-describing wire form.
-        KvCache::StreamingDeserializer deserializer(model_->config());
-        std::optional<KvCache::TokenMajorDeserializer> tm_deserializer;
-        if (info->shared) {
-          tm_deserializer.emplace(model_->config(), pe_mode(),
-                                  static_cast<std::size_t>(info->token_count));
-        }
         {
-          DeserializerSink legacy_sink(deserializer);
-          std::optional<TokenMajorSink> tm_sink;
-          if (tm_deserializer.has_value()) {
-            tm_sink.emplace(*tm_deserializer);
-          }
-          PayloadSink& sink =
-              tm_sink.has_value() ? static_cast<PayloadSink&>(*tm_sink) : legacy_sink;
+          TokenMajorSink sink(deserializer);
           MutexLock lock(mutex_);
           const Status read = store_.ReadPayloadInto(session, sink);
           if (read.ok()) {
@@ -423,8 +401,7 @@ Status CachedAttentionEngine::PrepareCache(SessionId session, SessionState& stat
         }
         std::optional<KvCache> loaded_cache;
         if (payload_ok) {
-          auto loaded = tm_deserializer.has_value() ? tm_deserializer->Finish()
-                                                    : deserializer.Finish();
+          auto loaded = deserializer.Finish();
           if (loaded.ok()) {
             loaded_cache = std::move(*loaded);
           } else {
@@ -661,51 +638,39 @@ void CachedAttentionEngine::SaveCache(SessionId session, const KvCache& cache,
   }
   const std::span<const TokenId> history(state.history);
   const std::uint64_t tokens = cache.seq_len();
-  // Prefix sharing (DESIGN.md §17): pure caches go through PutShared in
-  // token-major form so identical history prefixes dedup across sessions.
-  // Impure caches (KV-truncated / compressed rows) and compression-enabled
-  // engines (purity flips turn to turn; keep the formats uniform) fall back
-  // to the private whole-payload path — replies stay bitwise-identical
-  // either way, sharing only changes where the bytes live.
+  // Prefix sharing (DESIGN.md §17): pure caches go through PutShared so
+  // identical history prefixes dedup across sessions. Impure caches
+  // (KV-truncated / compressed rows) and compression-enabled engines
+  // (purity flips turn to turn) take the private whole-payload Put. Both
+  // store the same token-major bytes, so replies stay bitwise-identical
+  // either way; sharing only changes where the bytes live.
   const bool share = options_.store.share_prefixes && state.kv_pure &&
                      options_.compression.policy == CompressionPolicy::kNone;
-  // Durable stores persist the visible token history next to the payload so
-  // a restarted process can rebuild the session (RestoreSessions). Sharing
-  // engines write the v2 blob (purity bit + history); everything else keeps
-  // the raw v1 TokenId bytes. The journal treats the blob as opaque.
-  std::vector<std::uint8_t> meta_storage;
-  std::span<const std::uint8_t> user_meta;
+  // Durable stores persist the visible token history, the purity bit and
+  // the KV shape next to the payload so a restarted process can rebuild
+  // the session (RestoreSessions). The journal treats the blob as opaque.
+  std::vector<std::uint8_t> user_meta;
   if (options_.store.durable) {
     CA_CHECK_EQ(history.size(), cache.seq_len());
-    if (options_.store.share_prefixes) {
-      meta_storage = EncodeHistoryMetaV2(history, state.kv_pure);
-      user_meta = meta_storage;
-    } else {
-      user_meta = std::span<const std::uint8_t>(
-          reinterpret_cast<const std::uint8_t*>(history.data()),
-          history.size() * sizeof(TokenId));
-    }
+    user_meta = EncodeHistoryMeta(ShapeOf(model_->config(), pe_mode()), state.kv_pure, history);
   }
   if (write_stream_ == nullptr) {
     // Synchronous save: the serializer cursor feeds the store's zero-copy
-    // Put, so the KV bytes go tensors → tier block memory in one pass with
+    // put, so the KV bytes go tensors → tier block memory in one pass with
     // the checksum folded in along the way — no staging vector. The shared
     // path goes one better: ranges the prefix index already holds are never
     // serialized at all.
     MutexLock lock(mutex_);
     const SchedulerHints hints = CurrentHintsLocked();
+    CacheChunkSource source(cache);
+    CA_TRACE_SPAN("engine.save", "session", session, "tokens", tokens);
     Status s = Status::Ok();
     if (share) {
-      CacheChunkSource source(cache);
       const std::span<const std::uint32_t> token_bits(
           reinterpret_cast<const std::uint32_t*>(history.data()), history.size());
-      CA_TRACE_SPAN("engine.save", "session", session, "tokens", tokens);
       s = store_.PutShared(session, token_bits, source, WallNow(), hints, user_meta);
     } else {
-      KvCache::Serializer serializer(cache);
-      SerializerSource source(serializer);
-      CA_TRACE_SPAN("engine.save", "session", session, "bytes", source.size());
-      s = store_.Put(session, tokens, source, WallNow(), hints, user_meta);
+      s = store_.Put(session, tokens, source.Range(0, tokens), WallNow(), hints, user_meta);
     }
     if (!s.ok()) {
       CA_LOG(Debug) << "KV save for session " << session << " dropped: " << s;
@@ -715,10 +680,9 @@ void CachedAttentionEngine::SaveCache(SessionId session, const KvCache& cache,
   // Serialize now: the cache buffer is only valid during this turn, and the
   // async stream outlives it, so the payload must be materialised before it
   // crosses threads. (The store side still moves vector → tier zero-copy.)
-  // The history and meta blobs are copied for the same reason; the shared
-  // path needs the history as PutShared's token argument.
-  std::vector<std::uint8_t> payload = share ? cache.SerializeTokenMajor() : cache.Serialize();
-  std::vector<std::uint8_t> meta_copy(user_meta.begin(), user_meta.end());
+  // The history is copied for the same reason: the shared path needs it as
+  // PutShared's token argument.
+  std::vector<std::uint8_t> payload = cache.SerializeTokenMajor();
   std::vector<TokenId> history_copy =
       share ? std::vector<TokenId>(history.begin(), history.end()) : std::vector<TokenId>{};
   const std::uint64_t bytes_per_token = cache.token_major_bytes_per_token();
@@ -755,7 +719,7 @@ void CachedAttentionEngine::SaveCache(SessionId session, const KvCache& cache,
     pending_saves_.insert(session);
   }
   write_stream_->Submit([this, session, flow, do_put, payload = std::move(payload),
-                         meta_copy = std::move(meta_copy),
+                         meta_copy = std::move(user_meta),
                          history_copy = std::move(history_copy)] {
     {
       CA_TRACE_SPAN("engine.save.async", "session", session, "bytes", payload.size());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "src/common/check.h"
 #include "src/common/parallel_for.h"
@@ -10,18 +11,13 @@ namespace ca {
 
 namespace {
 
-constexpr std::uint32_t kMagic = 0x43414b56;  // "CAKV"
-
-struct SerializedHeader {
-  std::uint32_t magic;
-  std::uint32_t pe_mode;
-  std::uint32_t n_layers;
-  std::uint32_t kv_dim;
-  std::uint64_t seq_len;
-};
-
-static_assert(sizeof(SerializedHeader) == KvCache::kSerializedHeaderBytes,
-              "wire header size drifted from KvCache::kSerializedHeaderBytes");
+// The one growth rule for K, V and the K mirror's row stride, in tokens:
+// at least `need`, otherwise double the current capacity, capped at the
+// context window (a cache never holds more). Geometric, so prefill and
+// decode are amortised O(1) copies per appended token.
+std::size_t GrownCapacity(std::size_t need, std::size_t capacity, std::size_t window) {
+  return std::max(need, std::min(2 * capacity, window));
+}
 
 }  // namespace
 
@@ -49,38 +45,28 @@ std::size_t KvCache::layer_len(std::size_t layer) const {
   return k_[layer].size() / kv_dim_;
 }
 
-namespace {
-
-// Appends one row with explicitly geometric capacity growth. libstdc++
-// already doubles on insert, but the 2x policy is a guarantee we rely on
-// (prefill must not be O(n^2) reallocation), not an implementation detail
-// to inherit silently.
-void AppendRow(std::vector<float>& dst, std::span<const float> row) {
-  if (dst.size() + row.size() > dst.capacity()) {
-    dst.reserve(std::max(dst.size() + row.size(), 2 * dst.capacity()));
+void KvCache::GrowRows(std::vector<float>& rows, std::size_t tokens) const {
+  const std::size_t capacity = rows.capacity() / kv_dim_;
+  if (tokens > capacity) {
+    rows.reserve(GrownCapacity(tokens, capacity, context_window_) * kv_dim_);
   }
-  dst.insert(dst.end(), row.begin(), row.end());
 }
-
-}  // namespace
 
 void KvCache::Append(std::size_t layer, std::span<const float> k, std::span<const float> v) {
   CA_CHECK_LT(layer, k_.size());
   CA_CHECK_EQ(k.size(), kv_dim_);
   CA_CHECK_EQ(v.size(), kv_dim_);
-  AppendRow(k_[layer], k);
-  AppendRow(v_[layer], v);
+  const std::size_t tokens = layer_len(layer) + 1;
+  GrowRows(k_[layer], tokens);
+  GrowRows(v_[layer], tokens);
+  k_[layer].insert(k_[layer].end(), k.begin(), k.end());
+  v_[layer].insert(v_[layer].end(), v.begin(), v.end());
 }
 
 void KvCache::Reserve(std::size_t total_tokens) {
-  const std::size_t floats = total_tokens * kv_dim_;
   for (std::size_t layer = 0; layer < k_.size(); ++layer) {
-    if (k_[layer].capacity() < floats) {
-      k_[layer].reserve(floats);
-    }
-    if (v_[layer].capacity() < floats) {
-      v_[layer].reserve(floats);
-    }
+    GrowRows(k_[layer], total_tokens);
+    GrowRows(v_[layer], total_tokens);
   }
   GrowKMirror(total_tokens);
 }
@@ -89,7 +75,7 @@ void KvCache::GrowKMirror(std::size_t tokens) {
   if (tokens <= mirror_stride_) {
     return;
   }
-  const std::size_t stride = std::max(tokens, std::min(2 * mirror_stride_, context_window_));
+  const std::size_t stride = GrownCapacity(tokens, mirror_stride_, context_window_);
   for (std::size_t layer = 0; layer < k_mirror_.size(); ++layer) {
     std::vector<float>& mirror = k_mirror_[layer];
     if (mirror.empty()) {
@@ -241,175 +227,6 @@ std::uint64_t KvCache::byte_size() const {
 
 KvCache KvCache::Clone() const { return *this; }
 
-KvCache::Serializer::Serializer(const KvCache& cache) {
-  const std::size_t len = cache.seq_len();
-  for (std::size_t layer = 0; layer < cache.k_.size(); ++layer) {
-    CA_CHECK_EQ(cache.layer_len(layer), len) << "Serialize mid-forward";
-  }
-  const SerializedHeader header{
-      .magic = kMagic,
-      .pe_mode = static_cast<std::uint32_t>(cache.pe_mode_),
-      .n_layers = static_cast<std::uint32_t>(cache.k_.size()),
-      .kv_dim = static_cast<std::uint32_t>(cache.kv_dim_),
-      .seq_len = len,
-  };
-  std::memcpy(header_.data(), &header, sizeof(header));
-  segments_.reserve(1 + 2 * cache.k_.size());
-  segments_.push_back(Segment{.data = header_.data(), .len = header_.size()});
-  total_ = header_.size();
-  for (std::size_t layer = 0; layer < cache.k_.size(); ++layer) {
-    // Empty layers have a null data(); skip them so Fill never touches a
-    // null segment pointer.
-    if (const std::size_t k_bytes = cache.k_[layer].size() * sizeof(float); k_bytes > 0) {
-      segments_.push_back(Segment{
-          .data = reinterpret_cast<const std::uint8_t*>(cache.k_[layer].data()), .len = k_bytes});
-      total_ += k_bytes;
-    }
-    if (const std::size_t v_bytes = cache.v_[layer].size() * sizeof(float); v_bytes > 0) {
-      segments_.push_back(Segment{
-          .data = reinterpret_cast<const std::uint8_t*>(cache.v_[layer].data()), .len = v_bytes});
-      total_ += v_bytes;
-    }
-  }
-  CA_CHECK_EQ(total_, cache.SerializedSize());
-}
-
-void KvCache::Serializer::Fill(std::span<std::uint8_t> dest) {
-  std::size_t off = 0;
-  while (off < dest.size()) {
-    CA_CHECK_LT(seg_, segments_.size()) << "Fill past the serialized payload";
-    const Segment& s = segments_[seg_];
-    if (seg_off_ == s.len) {
-      ++seg_;
-      seg_off_ = 0;
-      continue;
-    }
-    const std::size_t take = std::min(dest.size() - off, s.len - seg_off_);
-    std::memcpy(dest.data() + off, s.data + seg_off_, take);
-    off += take;
-    seg_off_ += take;
-  }
-}
-
-void KvCache::SerializeInto(std::span<std::uint8_t> out) const {
-  Serializer cursor(*this);
-  CA_CHECK_EQ(out.size(), cursor.size()) << "SerializeInto buffer size mismatch";
-  cursor.Fill(out);
-}
-
-std::vector<std::uint8_t> KvCache::Serialize() const {
-  std::vector<std::uint8_t> out(SerializedSize());
-  SerializeInto(out);
-  return out;
-}
-
-void KvCache::StreamingDeserializer::Reset() {
-  header_have_ = 0;
-  cache_.reset();
-  error_ = Status::Ok();
-  segments_.clear();
-  seg_ = 0;
-  seg_off_ = 0;
-  expected_total_ = 0;
-  consumed_ = 0;
-}
-
-void KvCache::StreamingDeserializer::ParseHeader() {
-  SerializedHeader header;
-  std::memcpy(&header, header_.data(), sizeof(header));
-  if (header.magic != kMagic) {
-    error_ = InvalidArgumentError("bad KV cache magic");
-    return;
-  }
-  if (header.n_layers != config_->n_layers || header.kv_dim != config_->kv_dim()) {
-    error_ = InvalidArgumentError("KV cache shape does not match model config");
-    return;
-  }
-  // A cache can never legitimately exceed the model's context window; a
-  // garbage length must not drive the tensor allocation below. (Reachable
-  // only with checksum verification disabled — a verified stream never
-  // presents a damaged header.)
-  if (header.seq_len > config_->context_window) {
-    error_ = InvalidArgumentError("KV cache seq_len exceeds the context window");
-    return;
-  }
-  expected_total_ =
-      sizeof(header) + 2ULL * header.n_layers * header.seq_len * header.kv_dim * sizeof(float);
-  cache_ = std::make_unique<KvCache>(*config_, static_cast<PeMode>(header.pe_mode));
-  const std::size_t layer_floats = header.seq_len * header.kv_dim;
-  if (layer_floats == 0) {
-    return;
-  }
-  segments_.reserve(2ULL * header.n_layers);
-  for (std::size_t layer = 0; layer < header.n_layers; ++layer) {
-    cache_->k_[layer].resize(layer_floats);
-    segments_.push_back(Segment{.data = reinterpret_cast<std::uint8_t*>(cache_->k_[layer].data()),
-                                .len = layer_floats * sizeof(float)});
-    cache_->v_[layer].resize(layer_floats);
-    segments_.push_back(Segment{.data = reinterpret_cast<std::uint8_t*>(cache_->v_[layer].data()),
-                                .len = layer_floats * sizeof(float)});
-  }
-}
-
-void KvCache::StreamingDeserializer::Consume(std::span<const std::uint8_t> chunk) {
-  consumed_ += chunk.size();
-  if (!error_.ok()) {
-    return;  // swallow the rest; Finish() reports the first failure
-  }
-  while (!chunk.empty()) {
-    if (header_have_ < kSerializedHeaderBytes) {
-      const std::size_t take = std::min(chunk.size(), kSerializedHeaderBytes - header_have_);
-      std::memcpy(header_.data() + header_have_, chunk.data(), take);
-      header_have_ += take;
-      chunk = chunk.subspan(take);
-      if (header_have_ == kSerializedHeaderBytes) {
-        ParseHeader();
-        if (!error_.ok()) {
-          return;
-        }
-      }
-      continue;
-    }
-    if (seg_ >= segments_.size()) {
-      error_ = InvalidArgumentError("KV cache buffer size mismatch");
-      return;
-    }
-    Segment& s = segments_[seg_];
-    if (seg_off_ == s.len) {
-      ++seg_;
-      seg_off_ = 0;
-      continue;
-    }
-    const std::size_t take = std::min(chunk.size(), s.len - seg_off_);
-    std::memcpy(s.data + seg_off_, chunk.data(), take);
-    seg_off_ += take;
-    chunk = chunk.subspan(take);
-  }
-}
-
-Result<KvCache> KvCache::StreamingDeserializer::Finish() {
-  if (!error_.ok()) {
-    return error_;
-  }
-  if (header_have_ < kSerializedHeaderBytes) {
-    return InvalidArgumentError("KV cache buffer shorter than header");
-  }
-  if (consumed_ != expected_total_) {
-    return InvalidArgumentError("KV cache buffer size mismatch");
-  }
-  CA_CHECK(cache_ != nullptr);
-  KvCache out = std::move(*cache_);
-  cache_.reset();
-  return out;
-}
-
-Result<KvCache> KvCache::Deserialize(const ModelConfig& config,
-                                     std::span<const std::uint8_t> bytes) {
-  StreamingDeserializer cursor(config);
-  cursor.Consume(bytes);
-  return cursor.Finish();
-}
-
 KvCache::TokenMajorSerializer::TokenMajorSerializer(const KvCache& cache, std::size_t token_begin,
                                                     std::size_t token_end)
     : cache_(&cache), begin_(token_begin), end_(token_end) {
@@ -461,9 +278,9 @@ std::vector<std::uint8_t> KvCache::SerializeTokenMajor() const {
   return out;
 }
 
-KvCache::TokenMajorDeserializer::TokenMajorDeserializer(const ModelConfig& config, PeMode pe_mode,
+KvCache::TokenMajorDeserializer::TokenMajorDeserializer(ModelConfig config, PeMode pe_mode,
                                                         std::size_t seq_len)
-    : config_(&config), pe_mode_(pe_mode), seq_len_(seq_len) {
+    : config_(std::move(config)), pe_mode_(pe_mode), seq_len_(seq_len) {
   Reset();
 }
 
@@ -473,16 +290,16 @@ void KvCache::TokenMajorDeserializer::Reset() {
   token_ = 0;
   row_ = 0;
   row_off_ = 0;
-  if (seq_len_ > config_->context_window) {
-    // Same guard as ParseHeader: a garbage token count must not drive the
-    // tensor allocation.
+  if (seq_len_ > config_.context_window) {
+    // A cache can never legitimately exceed the model's context window; a
+    // garbage token count must not drive the tensor allocation below.
     error_ = InvalidArgumentError("KV cache seq_len exceeds the context window");
     cache_.reset();
     return;
   }
-  cache_ = std::make_unique<KvCache>(*config_, pe_mode_);
+  cache_ = std::make_unique<KvCache>(config_, pe_mode_);
   expected_total_ = static_cast<std::uint64_t>(seq_len_) * cache_->token_major_bytes_per_token();
-  const std::size_t layer_floats = seq_len_ * config_->kv_dim();
+  const std::size_t layer_floats = seq_len_ * config_.kv_dim();
   for (std::size_t layer = 0; layer < cache_->k_.size(); ++layer) {
     cache_->k_[layer].resize(layer_floats);
     cache_->v_[layer].resize(layer_floats);
@@ -494,7 +311,7 @@ void KvCache::TokenMajorDeserializer::Consume(std::span<const std::uint8_t> chun
   if (!error_.ok()) {
     return;  // swallow the rest; Finish() reports the first failure
   }
-  const std::size_t row_bytes = config_->kv_dim() * sizeof(float);
+  const std::size_t row_bytes = config_.kv_dim() * sizeof(float);
   const std::size_t rows_per_token = 2 * cache_->k_.size();
   while (!chunk.empty()) {
     if (token_ >= seq_len_) {

@@ -17,12 +17,12 @@
 // mirror is derived state: it is not serialised, not counted in byte_size()
 // and a freshly deserialised cache starts without one.
 //
-// The cache serialises to a flat byte buffer so AttentionStore can move it
-// across memory/disk tiers without knowing the tensor layout.
+// The cache has one wire form, token-major and headerless (below), so
+// AttentionStore can move it across memory/disk tiers and split it into
+// shared token chunks without knowing the tensor layout.
 #ifndef CA_MODEL_KV_CACHE_H_
 #define CA_MODEL_KV_CACHE_H_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -55,13 +55,14 @@ class KvCache {
   // Appends one token's K and V rows (each kv_dim floats) to `layer`.
   void Append(std::size_t layer, std::span<const float> k, std::span<const float> v);
 
-  // Pre-sizes every layer's storage for `total_tokens` tokens (no-op if
-  // already that large). Called by the forward pass with history + new so a
-  // prefill appends into storage grown once up front instead of paying
-  // vector regrowth copies mid-pass; also keeps LayerK/LayerV spans stable
-  // across the Appends of one forward. The K mirror's row stride grows here
-  // too, geometrically (capped at the context window), so a decode step
-  // does not re-lay the mirror out.
+  // Grows every layer's storage to hold at least `total_tokens` tokens
+  // (no-op if it already does). Called by the forward pass with history +
+  // new so a prefill appends into storage grown once up front instead of
+  // paying vector regrowth copies mid-pass; also keeps LayerK/LayerV spans
+  // stable across the Appends of one forward. K, V and the K mirror's row
+  // stride share one geometric rule, max(need, min(2 x capacity, window)),
+  // so a run of decode steps neither copies the tensors nor re-lays the
+  // mirror out on every token.
   void Reserve(std::size_t total_tokens);
 
   // Row accessors.
@@ -111,67 +112,21 @@ class KvCache {
   // Removes all cached tokens (and the K mirror's rows; its storage stays).
   void Clear();
 
-  // fp32 byte footprint of the cached tensors (excludes header and the K
-  // mirror).
+  // fp32 byte footprint of the cached tensors (excludes the K mirror); equals
+  // the wire size.
   std::uint64_t byte_size() const;
 
   KvCache Clone() const;
 
-  // Flat-buffer serialisation (header + raw fp32 data).
-  std::vector<std::uint8_t> Serialize() const;
-  static Result<KvCache> Deserialize(const ModelConfig& config,
-                                     std::span<const std::uint8_t> bytes);
-
-  // --- zero-copy serialisation (DESIGN.md §14) -------------------------
-
-  // Wire size of the header (4x u32 + u64; static_assert'd in kv_cache.cc).
-  static constexpr std::size_t kSerializedHeaderBytes = 24;
-
-  // Exact Serialize() output size without materialising the buffer.
-  std::uint64_t SerializedSize() const { return kSerializedHeaderBytes + byte_size(); }
-
-  // Serialize() into a caller-owned buffer of exactly SerializedSize() bytes.
-  void SerializeInto(std::span<std::uint8_t> out) const;
-
-  // Cursor over the serialized wire form. Fill() produces successive byte
-  // windows straight out of the cache's tensors (plus a small header copy),
-  // so the engine's save path hands this to the store and the KV bytes land
-  // directly in tier block memory — no staging vector. The cache must stay
-  // alive and unmodified while a Serializer reads it.
-  class Serializer {
-   public:
-    explicit Serializer(const KvCache& cache);
-
-    std::uint64_t size() const { return total_; }
-    void Reset() {
-      seg_ = 0;
-      seg_off_ = 0;
-    }
-    // Produces the next dest.size() bytes of the wire form.
-    void Fill(std::span<std::uint8_t> dest);
-
-   private:
-    struct Segment {
-      const std::uint8_t* data = nullptr;
-      std::size_t len = 0;
-    };
-
-    std::array<std::uint8_t, kSerializedHeaderBytes> header_ = {};
-    std::vector<Segment> segments_;  // header, then per layer K, V
-    std::uint64_t total_ = 0;
-    std::size_t seg_ = 0;
-    std::size_t seg_off_ = 0;
-  };
-
-  // --- token-major wire form (prefix sharing, DESIGN.md §17) -----------
+  // --- wire form (DESIGN.md §14, §17) ----------------------------------
   //
-  // Alternative headerless layout used by the store's shared-prefix chunks:
-  // for token t, for layer l: the K row then the V row (kv_dim floats each).
-  // Byte offset t * token_major_bytes_per_token() is therefore a token
-  // boundary, which is what lets the store split a payload into fixed
-  // token-count chunks and dedup them across sessions. Shape (pe_mode,
-  // n_layers, kv_dim, seq_len) travels out of band via the store's record
-  // metadata, not a header.
+  // Headerless and token-major: for token t, for layer l: the K row then the
+  // V row (kv_dim floats each). Byte offset t * token_major_bytes_per_token()
+  // is therefore a token boundary, which is what lets the store split a
+  // payload into fixed token-count chunks and dedup them across sessions.
+  // Shape (pe_mode, n_layers, kv_dim, seq_len) travels out of band: the
+  // record's token count and the engine's model, checked against the
+  // engine's durable history blob on restart.
 
   // Bytes one token occupies in the token-major form (2 rows per layer).
   static std::uint64_t TokenMajorBytesPerToken(const ModelConfig& config) {
@@ -182,8 +137,10 @@ class KvCache {
   }
 
   // Restartable cursor over the token-major bytes of tokens
-  // [token_begin, token_end). Same lifetime contract as Serializer: the
-  // cache must stay alive and unmodified while the cursor reads it.
+  // [token_begin, token_end). Fill() copies straight out of the cache's
+  // tensors, so the engine's save path hands it to the store and the KV
+  // bytes land directly in tier block memory — no staging vector. The cache
+  // must stay alive and unmodified while the cursor reads it.
   class TokenMajorSerializer {
    public:
     TokenMajorSerializer(const KvCache& cache, std::size_t token_begin, std::size_t token_end);
@@ -211,11 +168,16 @@ class KvCache {
   std::vector<std::uint8_t> SerializeTokenMajor() const;
 
   // Streaming inverse of the token-major form. seq_len arrives out of band
-  // (the store's record token count); Consume takes arbitrary chunking and
-  // Finish() validates the byte count and yields the cache.
+  // (the store's record token count). Chunks arrive in byte order (any
+  // chunking) via Consume and are copied straight into the final tensor
+  // storage; Finish() validates the byte count and yields the cache. Errors
+  // (seq_len past the context window, over/undershoot) are remembered;
+  // later chunks are swallowed and Finish() reports the first failure.
+  // Reset() restarts a fresh pass (the store's read-retry loop replays the
+  // stream). Holds its config by value: it may outlive the caller's.
   class TokenMajorDeserializer {
    public:
-    TokenMajorDeserializer(const ModelConfig& config, PeMode pe_mode, std::size_t seq_len);
+    TokenMajorDeserializer(ModelConfig config, PeMode pe_mode, std::size_t seq_len);
 
     void Reset();
     void Consume(std::span<const std::uint8_t> chunk);
@@ -224,10 +186,11 @@ class KvCache {
     Result<KvCache> Finish();
 
    private:
-    const ModelConfig* config_;
+    ModelConfig config_;
     PeMode pe_mode_;
     std::size_t seq_len_ = 0;
-    // unique_ptr for the same incomplete-type reason as StreamingDeserializer.
+    // unique_ptr, not optional: KvCache is still incomplete inside its own
+    // nested class, and optional needs the complete type.
     std::unique_ptr<KvCache> cache_;
     Status error_ = Status::Ok();
     std::uint64_t expected_total_ = 0;
@@ -237,47 +200,9 @@ class KvCache {
     std::size_t row_off_ = 0;
   };
 
-  // Incremental inverse: chunks of the wire form arrive in byte order (any
-  // chunking) via Consume; Finish() validates and yields the cache. Once the
-  // header has been consumed and validated, payload bytes are copied
-  // straight into the final tensor storage — no whole-payload staging
-  // buffer. Errors (bad magic, shape mismatch, over/undershoot) are
-  // remembered; subsequent chunks are swallowed and Finish() reports the
-  // first failure. Reset() restarts a fresh pass (the store's read-retry
-  // loop replays the stream).
-  class StreamingDeserializer {
-   public:
-    explicit StreamingDeserializer(const ModelConfig& config) : config_(&config) {}
-
-    void Reset();
-    void Consume(std::span<const std::uint8_t> chunk);
-    // Consumes the built cache; the deserializer is spent afterwards
-    // (Reset() before reuse).
-    Result<KvCache> Finish();
-
-   private:
-    void ParseHeader();
-
-    struct Segment {
-      std::uint8_t* data = nullptr;
-      std::size_t len = 0;
-    };
-
-    const ModelConfig* config_;
-    std::array<std::uint8_t, kSerializedHeaderBytes> header_ = {};
-    std::size_t header_have_ = 0;
-    // unique_ptr, not optional: KvCache is still incomplete inside its own
-    // nested class, and optional needs the complete type.
-    std::unique_ptr<KvCache> cache_;
-    Status error_ = Status::Ok();
-    std::vector<Segment> segments_;  // per layer K, V (into cache_'s tensors)
-    std::size_t seg_ = 0;
-    std::size_t seg_off_ = 0;
-    std::uint64_t expected_total_ = 0;
-    std::uint64_t consumed_ = 0;
-  };
-
  private:
+  // Grows one layer's K or V storage to hold at least `tokens` rows.
+  void GrowRows(std::vector<float>& rows, std::size_t tokens) const;
   // Grows every allocated mirror's row stride to at least `tokens`,
   // keeping the rows it holds.
   void GrowKMirror(std::size_t tokens);

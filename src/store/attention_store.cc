@@ -347,7 +347,6 @@ Status AttentionStore::RecoverFromJournal() {
                     .extent = std::move(extent),
                     .checksum = rec->checksum,
                     .user_meta = rec->user_meta,
-                    .shared_format = rec->shared_format,
                     .chunk_refs = rec->chunk_refs};
     used_bytes_[static_cast<std::size_t>(Tier::kDisk)] += record.block_bytes;
     next_insert_seq_ = std::max(next_insert_seq_, rec->insert_seq + 1);
@@ -393,7 +392,6 @@ void AttentionStore::JournalUpsert(const KvRecord& record,
   rec.last_access = record.last_access;
   rec.insert_seq = record.insert_seq;
   rec.checksum = record.checksum;
-  rec.shared_format = record.shared_format;
   rec.chunk_refs = record.chunk_refs;
   if (record.tier == Tier::kDisk) {
     rec.blocks = record.extent.blocks;
@@ -758,8 +756,6 @@ void AttentionStore::CheckInvariants() const {
       CA_CHECK_EQ(m.checksum, r.checksum) << "session " << id << " journal checksum drifted";
       CA_CHECK(m.user_meta == r.user_meta)
           << "session " << id << " journal user_meta drifted from the record copy";
-      CA_CHECK(m.shared_format == r.shared_format)
-          << "session " << id << " journal shared-format flag drifted";
       CA_CHECK(m.chunk_refs == r.chunk_refs)
           << "session " << id << " journal block table drifted from the record copy";
       if (r.tier == Tier::kDisk) {
@@ -1011,7 +1007,6 @@ std::optional<KvRecordInfo> AttentionStore::GetInfo(SessionId session) const {
                       .bytes = r.bytes,
                       .token_count = r.token_count,
                       .last_access = r.last_access,
-                      .shared = r.shared_format,
                       .payload_bytes = payload_bytes};
 }
 
@@ -1457,7 +1452,6 @@ Status AttentionStore::PutShared(SessionId session, std::span<const std::uint32_
                   .extent = std::move(placed->extent),
                   .checksum = placed->checksum,
                   .user_meta = {user_meta.begin(), user_meta.end()},
-                  .shared_format = true,
                   .chunk_refs = std::move(new_refs)};
   used_bytes_[static_cast<std::size_t>(placed->tier)] += record.block_bytes;
   const auto [rit, inserted] = records_.emplace(session, std::move(record));
@@ -1631,7 +1625,6 @@ Result<ExportedRecord> AttentionStore::ExportRecord(SessionId session) {
   out.token_count = r.token_count;
   out.last_access = r.last_access;
   out.user_meta = r.user_meta;
-  out.shared_format = r.shared_format;
   if (!r.chunk_refs.empty()) {
     // Shared record: the snapshot is the materialized full payload (chunks
     // + tail), self-contained by design — the importing store knows nothing
@@ -1680,16 +1673,6 @@ Status AttentionStore::ImportRecord(const ExportedRecord& record, SimTime now,
                      record.user_meta);
   }
   if (placed.ok()) {
-    if (record.shared_format) {
-      // The imported record is private (no chunk table survives transport)
-      // but its payload is token-major; preserve the flag so the engine's
-      // load path parses it with the right deserializer. Re-journal so the
-      // durable mirror agrees.
-      KvRecord& r = records_.at(record.session);
-      r.shared_format = true;
-      JournalUpsert(r, {}, /*keep_existing_user_meta=*/true);
-      MaybeAudit();
-    }
     ++stats_.imports;
   }
   return placed;

@@ -155,9 +155,6 @@ struct KvRecordInfo {
   std::uint64_t bytes = 0;        // bytes stored in the session's own record
   std::uint64_t token_count = 0;  // full logical token count
   SimTime last_access = 0;
-  // Prefix sharing (DESIGN.md §17): true when the record was stored via
-  // PutShared (token-major payload, possibly split across shared chunks).
-  bool shared = false;
   // Full logical payload size: shared-chunk bytes + the record's own bytes.
   // Equals `bytes` for private records.
   std::uint64_t payload_bytes = 0;
@@ -212,12 +209,6 @@ struct ExportedRecord {
   SimTime last_access = 0;
   std::vector<std::uint8_t> payload;    // empty on capacity-only stores
   std::vector<std::uint8_t> user_meta;  // opaque caller blob (serialized token history)
-  // Prefix sharing (DESIGN.md §17): true when the payload is token-major
-  // (stored via PutShared). Export materializes shared records into this
-  // self-contained form (chunks + tail concatenated); import re-creates a
-  // private record but preserves the format flag so the engine's load path
-  // still parses the bytes correctly.
-  bool shared_format = false;
 };
 
 class AttentionStore {
@@ -424,11 +415,10 @@ class AttentionStore {
     // journal. For shared chunk records the store itself is the caller: it
     // holds the encoded chunk descriptor (chain key, parent, tokens).
     std::vector<std::uint8_t> user_meta;
-    // Prefix sharing (DESIGN.md §17): true when stored via PutShared
-    // (token-major payload). The block table: ordered shared-chunk record
-    // ids whose payloads precede this record's own bytes. Journaled with
-    // the record so recovery can rebuild tables and re-derive refcounts.
-    bool shared_format = false;
+    // Prefix sharing (DESIGN.md §17): the block table, ordered shared-chunk
+    // record ids whose payloads precede this record's own bytes (empty for
+    // a private record). Journaled with the record so recovery can rebuild
+    // tables and re-derive refcounts.
     std::vector<SessionId> chunk_refs;
     // Access-journaling checkpoint counter (durable mode; not persisted).
     std::uint32_t accesses_since_journal = 0;

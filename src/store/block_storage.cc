@@ -35,7 +35,8 @@ constexpr std::uint64_t RoundUpDirect(std::uint64_t n) {
 // payload file are a local pair, never shipped across architectures.
 constexpr std::uint64_t kSuperblockBytes = kDirectAlign;
 constexpr std::uint32_t kPayloadMagic = 0x50424143;  // "CABP"
-constexpr std::uint32_t kPayloadVersion = 1;
+// v2: every payload is a headerless token-major KV record (DESIGN.md §15).
+constexpr std::uint32_t kPayloadVersion = 2;
 // Byte layout: [0] magic u32, [4] version u32, [8] block_bytes u64,
 // [16] capacity_bytes u64, [24] store_id u64, [32] Fnv1a64 over [0,32).
 constexpr std::uint64_t kSuperblockPayloadBytes = 32;

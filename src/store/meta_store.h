@@ -88,7 +88,6 @@ struct MetaRecord {
   // block table (shared-chunk record ids). Refcounts are deliberately NOT
   // journaled — recovery re-derives them from the surviving tables, so a
   // replayed journal can neither double-free nor leak a shared chunk.
-  bool shared_format = false;
   std::vector<SessionId> chunk_refs;
 };
 

@@ -3,7 +3,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -154,12 +156,44 @@ TEST(KvCacheTest, MutableKWritesThrough) {
   EXPECT_EQ(cache.K(0, 0)[0], -5.0f);
 }
 
+// Decode-style growth: after a prefill, a run of one-token forwards
+// (Reserve(len + 1) then Append, as Transformer::Forward does) must not
+// move the tensors on every step — the doubling rule leaves room.
+TEST(KvCacheTest, DecodeStepsKeepStorageInPlace) {
+  const ModelConfig config = ModelConfig::Mini();
+  KvCache cache(config, PeMode::kDecoupled);
+  constexpr std::size_t kPrefill = 40;
+  cache.Reserve(kPrefill);
+  FillCache(cache, kPrefill);
+  // The first decode step may grow the storage once (prefill reserved
+  // exactly); the steps after it must land in that room.
+  cache.Reserve(kPrefill + 1);
+  FillCache(cache, kPrefill + 1);
+  const float* k = cache.LayerK(0).data();
+  const float* v = cache.LayerV(0).data();
+  for (std::size_t len = kPrefill + 2; len <= 2 * kPrefill; ++len) {
+    cache.Reserve(len);
+    FillCache(cache, len);
+    ASSERT_EQ(cache.LayerK(0).data(), k) << "K reallocated at length " << len;
+    ASSERT_EQ(cache.LayerV(0).data(), v) << "V reallocated at length " << len;
+  }
+  EXPECT_EQ(cache.K(0, 2 * kPrefill - 1)[0], 100.0f * (2 * kPrefill - 1));
+}
+
+// --- wire form (DESIGN.md §14, §17) --------------------------------------
+
+// Whole-cache round trip through the streaming deserializer.
+Result<KvCache> RoundTrip(const ModelConfig& config, const KvCache& cache) {
+  KvCache::TokenMajorDeserializer deserializer(config, cache.pe_mode(), cache.seq_len());
+  deserializer.Consume(cache.SerializeTokenMajor());
+  return deserializer.Finish();
+}
+
 TEST(KvCacheTest, SerializeRoundTrip) {
   const ModelConfig config = ModelConfig::Mini();
   KvCache cache(config, PeMode::kDecoupled);
   FillCache(cache, 6);
-  const auto bytes = cache.Serialize();
-  auto restored = KvCache::Deserialize(config, bytes);
+  auto restored = RoundTrip(config, cache);
   ASSERT_TRUE(restored.ok()) << restored.status();
   EXPECT_EQ(restored->seq_len(), 6U);
   EXPECT_EQ(restored->pe_mode(), PeMode::kDecoupled);
@@ -176,48 +210,54 @@ TEST(KvCacheTest, SerializeRoundTrip) {
 TEST(KvCacheTest, SerializePreservesPeMode) {
   const ModelConfig config = ModelConfig::Mini();
   KvCache cache(config, PeMode::kCoupled);
-  FillCache(cache, 1);
-  auto restored = KvCache::Deserialize(config, cache.Serialize());
+  FillCache(cache, 2);
+  auto restored = RoundTrip(config, cache);
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored->pe_mode(), PeMode::kCoupled);
 }
 
 TEST(KvCacheTest, DeserializeRejectsGarbage) {
   const ModelConfig config = ModelConfig::Mini();
+  // A byte count that is no whole number of tokens, and one far too short.
   const std::vector<std::uint8_t> junk(16, 0xAB);
-  EXPECT_FALSE(KvCache::Deserialize(config, junk).ok());
+  KvCache::TokenMajorDeserializer d(config, PeMode::kDecoupled, 1);
+  d.Consume(junk);
+  EXPECT_FALSE(d.Finish().ok());
   const std::vector<std::uint8_t> tiny(3, 0);
-  EXPECT_FALSE(KvCache::Deserialize(config, tiny).ok());
+  KvCache::TokenMajorDeserializer d2(config, PeMode::kDecoupled, 1);
+  d2.Consume(tiny);
+  EXPECT_FALSE(d2.Finish().ok());
 }
 
 TEST(KvCacheTest, DeserializeRejectsWrongConfig) {
   KvCache cache(ModelConfig::Mini(), PeMode::kDecoupled);
   FillCache(cache, 2);
-  const auto bytes = cache.Serialize();
-  EXPECT_FALSE(KvCache::Deserialize(ModelConfig::Tiny(), bytes).ok());
+  EXPECT_FALSE(RoundTrip(ModelConfig::Tiny(), cache).ok());
 }
 
 TEST(KvCacheTest, DeserializeRejectsTruncatedBuffer) {
   KvCache cache(ModelConfig::Mini(), PeMode::kDecoupled);
   FillCache(cache, 2);
-  auto bytes = cache.Serialize();
+  auto bytes = cache.SerializeTokenMajor();
   bytes.pop_back();
-  EXPECT_FALSE(KvCache::Deserialize(ModelConfig::Mini(), bytes).ok());
+  KvCache::TokenMajorDeserializer d(ModelConfig::Mini(), PeMode::kDecoupled, 2);
+  d.Consume(bytes);
+  EXPECT_FALSE(d.Finish().ok());
 }
 
-// --- zero-copy serialization (DESIGN.md §14) -----------------------------
+// --- zero-copy cursors (DESIGN.md §14) -----------------------------------
 
 TEST(KvCacheZeroCopy, SerializerMatchesSerializeByteForByte) {
   const ModelConfig config = ModelConfig::Mini();
   KvCache cache(config, PeMode::kDecoupled);
   FillCache(cache, 9);
-  const auto expected = cache.Serialize();
-  ASSERT_EQ(cache.SerializedSize(), expected.size());
+  const auto expected = cache.SerializeTokenMajor();
+  ASSERT_EQ(expected.size(), cache.byte_size());
 
   // Pull through the cursor in awkward window sizes; the concatenation must
-  // be exactly the legacy buffer.
+  // be exactly the materialised buffer.
   for (const std::size_t window : {std::size_t{1}, std::size_t{13}, std::size_t{4096}}) {
-    KvCache::Serializer serializer(cache);
+    KvCache::TokenMajorSerializer serializer(cache, 0, cache.seq_len());
     ASSERT_EQ(serializer.size(), expected.size());
     std::vector<std::uint8_t> got(expected.size());
     for (std::size_t off = 0; off < got.size(); off += window) {
@@ -233,39 +273,35 @@ TEST(KvCacheZeroCopy, SerializerMatchesSerializeByteForByte) {
   }
 }
 
-TEST(KvCacheZeroCopy, SerializeIntoMatchesSerialize) {
-  KvCache cache(ModelConfig::Mini(), PeMode::kCoupled);
-  FillCache(cache, 5);
-  const auto expected = cache.Serialize();
-  std::vector<std::uint8_t> got(cache.SerializedSize());
-  cache.SerializeInto(got);
-  EXPECT_EQ(got, expected);
-}
-
-TEST(KvCacheZeroCopy, StreamingDeserializerAnyChunking) {
+// Pins the byte layout itself: token t, then per layer its K row and its
+// V row. The store's chunk splitting and every durable record rely on it.
+TEST(KvCacheZeroCopy, WireLayoutIsTokenThenLayerThenKv) {
   const ModelConfig config = ModelConfig::Mini();
-  KvCache cache(config, PeMode::kDecoupled);
-  FillCache(cache, 11);
-  const auto bytes = cache.Serialize();
-  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{24},
-                                  std::size_t{1000}, bytes.size()}) {
-    KvCache::StreamingDeserializer deserializer(config);
-    for (std::size_t off = 0; off < bytes.size(); off += chunk) {
-      const std::size_t len = std::min(chunk, bytes.size() - off);
-      deserializer.Consume(std::span<const std::uint8_t>(bytes.data() + off, len));
+  KvCache cache(config, PeMode::kCoupled);
+  FillCache(cache, 3);
+  const auto bytes = cache.SerializeTokenMajor();
+  const std::size_t dim = cache.kv_dim();
+  std::vector<float> floats(bytes.size() / sizeof(float));
+  std::memcpy(floats.data(), bytes.data(), bytes.size());
+  std::size_t at = 0;
+  for (std::size_t t = 0; t < 3; ++t) {
+    for (std::size_t layer = 0; layer < cache.n_layers(); ++layer) {
+      for (const auto row : {cache.K(layer, t), cache.V(layer, t)}) {
+        ASSERT_TRUE(std::equal(row.begin(), row.end(), floats.begin() + at))
+            << "token " << t << " layer " << layer;
+        at += dim;
+      }
     }
-    auto restored = deserializer.Finish();
-    ASSERT_TRUE(restored.ok()) << "chunk " << chunk << ": " << restored.status();
-    EXPECT_EQ(restored->Serialize(), bytes) << "chunk " << chunk;
   }
+  EXPECT_EQ(at, floats.size());
 }
 
-TEST(KvCacheZeroCopy, StreamingDeserializerResetReplays) {
+TEST(KvCacheZeroCopy, DeserializerResetReplays) {
   const ModelConfig config = ModelConfig::Mini();
   KvCache cache(config, PeMode::kDecoupled);
   FillCache(cache, 4);
-  const auto bytes = cache.Serialize();
-  KvCache::StreamingDeserializer deserializer(config);
+  const auto bytes = cache.SerializeTokenMajor();
+  KvCache::TokenMajorDeserializer deserializer(config, PeMode::kDecoupled, 4);
   // A torn first pass (half the payload) followed by Reset and a clean
   // replay — the store's read-retry pattern.
   deserializer.Consume(std::span<const std::uint8_t>(bytes.data(), bytes.size() / 2));
@@ -273,41 +309,45 @@ TEST(KvCacheZeroCopy, StreamingDeserializerResetReplays) {
   deserializer.Consume(bytes);
   auto restored = deserializer.Finish();
   ASSERT_TRUE(restored.ok()) << restored.status();
-  EXPECT_EQ(restored->Serialize(), bytes);
+  EXPECT_EQ(restored->SerializeTokenMajor(), bytes);
 }
 
-TEST(KvCacheZeroCopy, StreamingDeserializerRejectsBadInput) {
+TEST(KvCacheZeroCopy, DeserializerRejectsBadInput) {
   const ModelConfig config = ModelConfig::Mini();
   KvCache cache(config, PeMode::kDecoupled);
   FillCache(cache, 3);
-  const auto bytes = cache.Serialize();
+  const auto bytes = cache.SerializeTokenMajor();
 
   {
-    // Garbage magic.
-    auto junk = bytes;
-    junk[0] ^= 0xFF;
-    KvCache::StreamingDeserializer d(config);
-    d.Consume(junk);
-    EXPECT_FALSE(d.Finish().ok());
-  }
-  {
     // Truncated payload.
-    KvCache::StreamingDeserializer d(config);
+    KvCache::TokenMajorDeserializer d(config, PeMode::kDecoupled, 3);
     d.Consume(std::span<const std::uint8_t>(bytes.data(), bytes.size() - 4));
     EXPECT_FALSE(d.Finish().ok());
   }
   {
     // Overlong payload: the overshooting chunk must be swallowed, not
     // written past the tensors.
-    KvCache::StreamingDeserializer d(config);
+    KvCache::TokenMajorDeserializer d(config, PeMode::kDecoupled, 3);
     d.Consume(bytes);
     d.Consume(std::span<const std::uint8_t>(bytes.data(), 8));
     EXPECT_FALSE(d.Finish().ok());
   }
   {
-    // Wrong model config.
-    KvCache::StreamingDeserializer d(ModelConfig::Tiny());
+    // Wrong model config. The config is a temporary that dies before
+    // Consume, so a deserializer that kept a pointer to it would read freed
+    // stack (caught under ASan).
+    KvCache::TokenMajorDeserializer d(ModelConfig::Tiny(), PeMode::kDecoupled, 3);
     d.Consume(bytes);
+    EXPECT_FALSE(d.Finish().ok());
+  }
+  {
+    // seq_len past the context window: refused before any allocation, and
+    // still refused after a Reset.
+    KvCache::TokenMajorDeserializer d(ModelConfig::Tiny(), PeMode::kDecoupled,
+                                      ModelConfig::Tiny().context_window + 1);
+    d.Consume(bytes);
+    EXPECT_FALSE(d.Finish().ok());
+    d.Reset();
     EXPECT_FALSE(d.Finish().ok());
   }
 }
@@ -315,16 +355,13 @@ TEST(KvCacheZeroCopy, StreamingDeserializerRejectsBadInput) {
 TEST(KvCacheZeroCopy, EmptyCacheRoundTripsThroughStreaming) {
   const ModelConfig config = ModelConfig::Mini();
   KvCache cache(config, PeMode::kDecoupled);
-  const auto bytes = cache.Serialize();
-  EXPECT_EQ(bytes.size(), KvCache::kSerializedHeaderBytes);
-  KvCache::StreamingDeserializer deserializer(config);
-  deserializer.Consume(bytes);
-  auto restored = deserializer.Finish();
+  EXPECT_TRUE(cache.SerializeTokenMajor().empty());
+  auto restored = RoundTrip(config, cache);
   ASSERT_TRUE(restored.ok()) << restored.status();
   EXPECT_TRUE(restored->empty());
 }
 
-// --- token-major wire form (prefix sharing, DESIGN.md §17) ---------------
+// --- token-major chunking (prefix sharing, DESIGN.md §17) ----------------
 
 TEST(KvCacheTokenMajor, BytesPerTokenMatchesConfig) {
   const ModelConfig config = ModelConfig::Mini();
@@ -351,8 +388,10 @@ TEST(KvCacheTokenMajor, RoundTripAnyChunking) {
     ASSERT_TRUE(restored.ok()) << "chunk " << chunk << ": " << restored.status();
     EXPECT_EQ(restored->seq_len(), 11U);
     EXPECT_EQ(restored->pe_mode(), PeMode::kDecoupled);
-    // Same tensors as the source, independent of wire layout.
-    EXPECT_EQ(restored->Serialize(), cache.Serialize()) << "chunk " << chunk;
+    for (std::size_t layer = 0; layer < cache.n_layers(); ++layer) {
+      ASSERT_TRUE(std::ranges::equal(restored->LayerK(layer), cache.LayerK(layer)));
+      ASSERT_TRUE(std::ranges::equal(restored->LayerV(layer), cache.LayerV(layer)));
+    }
   }
 }
 
@@ -410,19 +449,21 @@ TEST(KvCacheTokenMajor, DeserializerRejectsByteCountMismatch) {
     d.Consume(bytes);
     auto restored = d.Finish();
     ASSERT_TRUE(restored.ok()) << restored.status();
-    EXPECT_EQ(restored->Serialize(), cache.Serialize());
+    EXPECT_EQ(restored->SerializeTokenMajor(), bytes);
   }
 }
 
 TEST(KvCacheTokenMajor, PreservesPeMode) {
   const ModelConfig config = ModelConfig::Mini();
-  KvCache cache(config, PeMode::kCoupled);
-  FillCache(cache, 2);
-  KvCache::TokenMajorDeserializer d(config, PeMode::kCoupled, 2);
-  d.Consume(cache.SerializeTokenMajor());
-  auto restored = d.Finish();
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored->pe_mode(), PeMode::kCoupled);
+  for (const PeMode mode : {PeMode::kCoupled, PeMode::kDecoupled}) {
+    KvCache cache(config, mode);
+    FillCache(cache, 2);
+    KvCache::TokenMajorDeserializer d(config, mode, 2);
+    d.Consume(cache.SerializeTokenMajor());
+    auto restored = d.Finish();
+    ASSERT_TRUE(restored.ok());
+    EXPECT_EQ(restored->pe_mode(), mode);
+  }
 }
 
 TEST(KvCacheDeathTest, WrongRowSizeAborts) {
@@ -466,7 +507,7 @@ TEST_P(KvCacheRoundTrip, SurvivesSerializeDeserialize) {
       cache.Append(layer, row, row);
     }
   }
-  auto restored = KvCache::Deserialize(config, cache.Serialize());
+  auto restored = RoundTrip(config, cache);
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored->seq_len(), tokens);
   EXPECT_EQ(restored->byte_size(), cache.byte_size());

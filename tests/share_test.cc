@@ -152,7 +152,6 @@ TEST(SharedPrefix, DedupShrinksStoredBytesAtLeast4x) {
   // the private tail.
   const auto info = shared.GetInfo(1);
   ASSERT_TRUE(info.has_value());
-  EXPECT_TRUE(info->shared);
   EXPECT_EQ(info->payload_bytes, (kPrefix + kTail) * kBpt);
   EXPECT_EQ(info->bytes, kTail * kBpt);
   EXPECT_EQ(info->token_count, kPrefix + kTail);
@@ -437,7 +436,7 @@ TEST(SharedRecovery, KillRestartRecoversChunksAndRefcounts) {
   for (SessionId s = 1; s <= kSessions; ++s) {
     const auto info = store.GetInfo(s);
     ASSERT_TRUE(info.has_value()) << "session " << s;
-    EXPECT_TRUE(info->shared);
+    EXPECT_GT(info->payload_bytes, info->bytes) << "session " << s << " lost its block table";
     auto read = store.ReadPayload(s);
     ASSERT_TRUE(read.ok()) << "session " << s << ": " << read.status();
     EXPECT_EQ(*read, TokenMajorPayload(token_seqs.at(s))) << "session " << s;
@@ -624,18 +623,18 @@ TEST(ShareEngine, TruncatedCachesFallBackToPrivateRecords) {
   // Fill most of the window; the save is pure and shared.
   const auto big = MakeTokens(window - 40, 3, model.config().vocab_size);
   ASSERT_TRUE(engine.Converse(7, big, 4).ok());
-  auto info = engine.store().GetInfo(7);
-  ASSERT_TRUE(info.has_value());
-  EXPECT_TRUE(info->shared);
+  ASSERT_TRUE(engine.store().GetInfo(7).has_value());
+  EXPECT_EQ(engine.store().stats().shared_puts, 1U);
 
   // Overflow: the engine truncates the loaded cache's front — tainted.
   const auto more = MakeTokens(60, 4, model.config().vocab_size);
   auto r = engine.Converse(7, more, 4);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->truncated);
-  info = engine.store().GetInfo(7);
+  const auto info = engine.store().GetInfo(7);
   ASSERT_TRUE(info.has_value());
-  EXPECT_FALSE(info->shared) << "tainted cache entered the prefix index";
+  EXPECT_EQ(engine.store().stats().shared_puts, 1U) << "tainted cache entered the prefix index";
+  EXPECT_EQ(info->payload_bytes, info->bytes) << "tainted record still references shared chunks";
 
   engine.store().CheckInvariants();
 }
@@ -671,7 +670,9 @@ TEST(ShareEngine, ExportDrainsAsyncSharedSaveMidFlight) {
     ASSERT_TRUE(snap->record.has_value())
         << "export raced the async save and found no record";
     EXPECT_EQ(snap->record->token_count, snap->history.size());
-    EXPECT_TRUE(snap->record->shared_format);
+    // The export is self-contained: the whole token-major payload.
+    EXPECT_EQ(snap->record->payload.size(),
+              snap->history.size() * KvCache::TokenMajorBytesPerToken(model.config()));
     source.EndSession(s);
     ASSERT_TRUE(target.ImportSession(*std::move(snap)).ok());
   }
@@ -700,7 +701,7 @@ EngineOptions DurableShareEngineOptions(const std::string& path) {
 
 // A durable sharing engine killed without a shutdown handshake must come
 // back serving bitwise-identical replies over the recovered shared blocks
-// (the v2 user-meta blob restores history + purity).
+// (the durable history blob restores history + purity).
 TEST(ShareEngine, DurableKillRestartResumesBitwiseIdentical) {
   Transformer model(ModelConfig::Mini(), 51);
   const std::string ref_path = StorePath("engine_ref");
@@ -747,40 +748,47 @@ TEST(ShareEngine, DurableKillRestartResumesBitwiseIdentical) {
   engine.store().CheckInvariants();
 }
 
-// v1 compatibility: histories saved by a pre-sharing engine (raw TokenId
-// blobs) restore under a sharing engine, conservatively marked impure —
-// replies stay identical, and purity (hence sharing) returns with the next
-// full recompute.
-TEST(ShareEngine, RestoresV1HistoriesFromPreSharingEngine) {
+// Put and PutShared records hold the same token-major bytes, so a durable
+// store written with sharing off restores under an engine with it on, and
+// the reverse — same replies as an engine that never restarted, served
+// from the recovered KV (a cache hit, not a recompute).
+TEST(ShareEngine, DurableStoreRestoresAcrossSharingToggle) {
   Transformer model(ModelConfig::Mini(), 51);
-  const std::string path = StorePath("v1_compat");
   const auto input = MakeTokens(20, 9, model.config().vocab_size);
-  std::vector<TokenId> reply2;
-  {
-    EngineOptions v1 = DurableShareEngineOptions(path);
-    v1.store.share_prefixes = false;  // pre-sharing engine: raw v1 blobs
-    auto engine = CachedAttentionEngine::Create(&model, v1);
-    ASSERT_TRUE(engine.ok()) << engine.status();
-    ASSERT_TRUE((*engine)->Converse(1, input, 5).ok());
+  const auto input2 = MakeTokens(6, 10, model.config().vocab_size);
+  for (const bool written_shared : {false, true}) {
+    SCOPED_TRACE(written_shared ? "written with sharing on" : "written with sharing off");
+    const std::string path = StorePath(written_shared ? "toggle_on" : "toggle_off");
+    std::vector<TokenId> reply2;
+    {
+      EngineOptions writer = DurableShareEngineOptions(path);
+      writer.store.share_prefixes = written_shared;
+      auto engine = CachedAttentionEngine::Create(&model, writer);
+      ASSERT_TRUE(engine.ok()) << engine.status();
+      ASSERT_TRUE((*engine)->Converse(1, input, 5).ok());
+      EXPECT_EQ((*engine)->store().stats().shared_puts, written_shared ? 1U : 0U);
+    }
+    {
+      // Reference for the second turn, no restarts involved.
+      auto engine = CachedAttentionEngine::Create(
+          &model, DurableShareEngineOptions(StorePath("toggle_ref")));
+      ASSERT_TRUE(engine.ok());
+      ASSERT_TRUE((*engine)->Converse(1, input, 5).ok());
+      auto r = (*engine)->Converse(1, input2, 5);
+      ASSERT_TRUE(r.ok());
+      reply2 = r->reply;
+    }
+    EngineOptions reader = DurableShareEngineOptions(path);
+    reader.store.share_prefixes = !written_shared;
+    auto restarted = CachedAttentionEngine::Create(&model, reader);
+    ASSERT_TRUE(restarted.ok()) << restarted.status();
+    ASSERT_FALSE((*restarted)->SessionHistory(1).empty());
+    auto r = (*restarted)->Converse(1, input2, 5);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_TRUE(r->cache_hit);
+    EXPECT_EQ(r->reply, reply2);
+    (*restarted)->store().CheckInvariants();
   }
-  {
-    // Reference for the second turn, no restarts involved.
-    EngineOptions v1 = DurableShareEngineOptions(StorePath("v1_compat_ref"));
-    v1.store.share_prefixes = false;
-    auto engine = CachedAttentionEngine::Create(&model, v1);
-    ASSERT_TRUE(engine.ok());
-    ASSERT_TRUE((*engine)->Converse(1, input, 5).ok());
-    auto r = (*engine)->Converse(1, MakeTokens(6, 10, model.config().vocab_size), 5);
-    ASSERT_TRUE(r.ok());
-    reply2 = r->reply;
-  }
-  auto upgraded = CachedAttentionEngine::Create(&model, DurableShareEngineOptions(path));
-  ASSERT_TRUE(upgraded.ok()) << upgraded.status();
-  ASSERT_FALSE((*upgraded)->SessionHistory(1).empty());
-  auto r = (*upgraded)->Converse(1, MakeTokens(6, 10, model.config().vocab_size), 5);
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(r->reply, reply2);
-  (*upgraded)->store().CheckInvariants();
 }
 
 }  // namespace

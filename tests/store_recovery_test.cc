@@ -19,15 +19,18 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/common/rng.h"
 #include "src/common/units.h"
 #include "src/core/cached_attention.h"
@@ -350,6 +353,51 @@ TEST(DurableStore, MissingPayloadSuperblockFailsOpen) {
   EXPECT_EQ(opened.status().code(), StatusCode::kFailedPrecondition);
 }
 
+// Rewrites the u32 format version at offset 4 of the superblock at the
+// start of `file`, re-stamping its Fnv1a64 (over [0, digest_at), stored at
+// digest_at) so the superblock still reads as intact, not torn.
+void RewriteSuperblockVersion(const std::string& file, std::uint32_t version,
+                              std::size_t digest_at) {
+  std::fstream f(file, std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(f.good()) << file;
+  std::vector<std::uint8_t> sb(digest_at + sizeof(std::uint64_t));
+  f.read(reinterpret_cast<char*>(sb.data()), static_cast<std::streamsize>(sb.size()));
+  std::memcpy(sb.data() + 4, &version, sizeof(version));
+  const std::uint64_t digest = Fnv1a64(std::span<const std::uint8_t>(sb.data(), digest_at));
+  std::memcpy(sb.data() + digest_at, &digest, sizeof(digest));
+  f.seekp(0);
+  f.write(reinterpret_cast<const char*>(sb.data()), static_cast<std::streamsize>(sb.size()));
+}
+
+// A store written before every KV record became token-major (journal v2,
+// payload v1) holds bytes this build would misparse: Open must refuse it.
+// Each half of the pair is checked on its own, so neither version bump can
+// be dropped unnoticed.
+TEST(DurableStore, PreviousFormatStoreFailsOpen) {
+  const std::string journal_old = StorePath("durable_old_journal");
+  const std::string payload_old = StorePath("durable_old_payload");
+  {
+    auto opened = AttentionStore::Open(DurableConfig(journal_old));
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    AttentionStore store = std::move(*opened);
+    auto payload = SessionPayload(1, 1, KiB(4));
+    ASSERT_TRUE(store.Put(1, payload.size(), 1, payload, 1, kNoHints).ok());
+  }
+  CopyFile(journal_old, payload_old);
+  CopyFile(journal_old + ".meta", payload_old + ".meta");
+  ASSERT_TRUE(AttentionStore::Open(DurableConfig(payload_old)).ok()) << "the copy must open";
+
+  RewriteSuperblockVersion(journal_old + ".meta", /*version=*/2, /*digest_at=*/24);
+  auto opened = AttentionStore::Open(DurableConfig(journal_old));
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kFailedPrecondition) << opened.status();
+
+  RewriteSuperblockVersion(payload_old, /*version=*/1, /*digest_at=*/32);
+  opened = AttentionStore::Open(DurableConfig(payload_old));
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kFailedPrecondition) << opened.status();
+}
+
 TEST(DurableStore, RecoverVerifyPayloadsDropsCorruptedRecords) {
   const std::string path = StorePath("durable_verify");
   std::vector<std::uint8_t> expected_keep;
@@ -591,6 +639,68 @@ TEST(CrashRecovery, EngineKillRestartServesBitwiseIdenticalReplies) {
       EXPECT_EQ(r->reply, replies[t][s]) << "replayed turn " << t << " session " << s;
     }
     EXPECT_EQ(engine.SessionHistory(s), histories[kTurns - 1][s]) << "session " << s;
+  }
+}
+
+// The token-major payload carries no shape; the engine's durable history
+// blob does. A store reopened under a model or PE mode whose KV shape
+// differs from the writer's must turn every record into a clean miss —
+// dropped at restore, never parsed — and the next turn recomputes.
+TEST(CrashRecovery, EngineDropsRecordsOfADifferentKvShape) {
+  const ModelConfig mini = ModelConfig::Mini();
+  Transformer writer_model(mini, 51);
+  const auto input = MakeTokens(12, 7, mini.vocab_size);
+  const std::string written = StorePath("engine_shape_written");
+  {
+    auto engine = CachedAttentionEngine::Create(&writer_model, DurableEngineOptions(written));
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    for (SessionId s = 1; s <= 2; ++s) {
+      ASSERT_TRUE((*engine)->Converse(s, input, 4).ok());
+    }
+  }
+
+  ModelConfig fewer_layers = mini;
+  fewer_layers.n_layers = 2;
+  struct Case {
+    const char* name;
+    ModelConfig config;
+    OverflowPolicy policy;
+    bool restores;
+  };
+  const Case cases[] = {
+      {"same shape", mini, OverflowPolicy::kKvTruncate, true},
+      {"coupled PE", mini, OverflowPolicy::kNaiveKvTruncate, false},
+      {"n_layers", fewer_layers, OverflowPolicy::kKvTruncate, false},
+      {"kv_dim", ModelConfig::MiniGqa1(), OverflowPolicy::kKvTruncate, false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string path = StorePath(std::string("engine_shape_") + c.name);
+    CopyFile(written, path);
+    CopyFile(written + ".meta", path + ".meta");
+    Transformer model(c.config, 51);
+    EngineOptions options = DurableEngineOptions(path);
+    options.overflow_policy = c.policy;
+    auto engine = CachedAttentionEngine::Create(&model, options);
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    EXPECT_EQ((*engine)->LiveSessions().size(), c.restores ? 2U : 0U);
+    EXPECT_EQ((*engine)->store().RecordCount(), c.restores ? 2U : 0U);
+
+    // The next turn is served either way: a hit on the restored KV, or a
+    // fresh session that matches an engine which never saw the store.
+    auto r = (*engine)->Converse(1, input, 4);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(r->cache_hit, c.restores);
+    EXPECT_EQ(r->cache_load_fault, false);
+    if (!c.restores) {
+      EngineOptions fresh_options = DurableEngineOptions(StorePath("engine_shape_fresh"));
+      fresh_options.overflow_policy = c.policy;
+      auto fresh = CachedAttentionEngine::Create(&model, fresh_options);
+      ASSERT_TRUE(fresh.ok()) << fresh.status();
+      auto want = (*fresh)->Converse(1, input, 4);
+      ASSERT_TRUE(want.ok());
+      EXPECT_EQ(r->reply, want->reply);
+    }
   }
 }
 
