@@ -1,6 +1,6 @@
 // Serving-runtime walkthrough (DESIGN.md §12): run a ShareGPT-style
 // multi-turn workload through the multi-threaded ServingLoop — JobQueue →
-// per-worker ContinuousBatchers → CachedAttentionEngine — with the
+// N worker threads → CachedAttentionEngine — with the
 // background hint/prefetch thread promoting disk-resident KV caches while
 // workers serve, then print throughput, cache hit rates and queue-wait
 // percentiles.

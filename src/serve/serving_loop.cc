@@ -83,9 +83,8 @@ std::optional<JobId> ServingLoop::TrySubmit(ServeRequest request) {
 
 void ServingLoop::WorkerLoop(std::size_t worker_index) {
   Tracer::Get().SetThreadName("serve-worker-" + std::to_string(worker_index));
-  ContinuousBatcher batcher(options_.max_batch_per_worker);
   for (;;) {
-    // One round: admit every runnable job the batch has room for.
+    // One round: claim up to max_batch_per_worker runnable jobs.
     std::vector<std::pair<Job, ServeRequest>> round;
     {
       MutexLock lock(mutex_);
@@ -100,10 +99,9 @@ void ServingLoop::WorkerLoop(std::size_t worker_index) {
         });
       });
       if (stopping_ && queue_.empty()) {
-        CA_CHECK(batcher.empty());
         return;
       }
-      while (batcher.HasSlot()) {
+      while (round.size() < options_.max_batch_per_worker) {
         std::optional<Job> job = queue_.PopFirstRunnable([this](const Job& j) {
           mutex_.AssertHeld();
           return in_flight_sessions_.count(j.session) == 0;
@@ -117,8 +115,6 @@ void ServingLoop::WorkerLoop(std::size_t worker_index) {
         in_flight_sessions_.insert(job->session);
         auto payload_it = payloads_.find(job->id);
         CA_CHECK(payload_it != payloads_.end());
-        const bool admitted = batcher.TryAdmit(*job, /*remaining=*/1);
-        CA_CHECK(admitted);  // HasSlot() held the loop open
         round.emplace_back(*job, std::move(payload_it->second));
         payloads_.erase(payload_it);
       }
@@ -135,13 +131,6 @@ void ServingLoop::WorkerLoop(std::size_t worker_index) {
       for (auto& [job, request] : round) {
         ServeJob(job, std::move(request));
       }
-    }
-    const std::vector<Job> retired = batcher.StepIteration();
-    CA_CHECK_EQ(retired.size(), round.size());
-    for (std::size_t i = 0; i < retired.size(); ++i) {
-      // StepIteration's admission-order contract is what keeps serving
-      // traces deterministic; hold it to the jobs we actually served.
-      CA_CHECK_EQ(retired[i].id, round[i].first.id);
     }
   }
 }

@@ -1,19 +1,18 @@
 // Multi-threaded serving runtime (§4.1): the layer that turns the engine +
 // scheduler building blocks into a concurrent serving system.
 //
-//   JobQueue  ──►  per-worker ContinuousBatcher  ──►  CachedAttentionEngine
+//   JobQueue  ──►  N worker threads  ──►  CachedAttentionEngine
 //
-// A ServingLoop owns one FIFO JobQueue fed by Submit/TrySubmit. N worker
-// threads each run a ContinuousBatcher: they admit runnable jobs from the
-// queue into their batch (TryAdmit — a full batch leaves jobs queued, it
-// never aborts), serve every admitted job's turn through
-// CachedAttentionEngine::Converse, and retire the batch through
-// StepIteration (whose admission-order completions keep multi-worker traces
-// reproducible). Per-session ordering is enforced globally: a session with
-// a turn in flight is skipped by every worker's admission scan, and because
-// the scan is head-first, two queued jobs of the same session can never run
-// concurrently or out of submission order — which is exactly the property
-// that makes an N-worker run's replies bitwise identical to a 1-worker run.
+// A ServingLoop owns one FIFO JobQueue fed by Submit/TrySubmit. Each of N
+// worker threads claims a round of up to max_batch_per_worker runnable jobs
+// from the queue (a full round leaves jobs queued, it never aborts) and
+// serves them one after another, in claim order, each turn end to end
+// through CachedAttentionEngine::Converse. Per-session ordering is enforced
+// globally: a session with a turn in flight is skipped by every worker's
+// claim scan, and because the scan is head-first, two queued jobs of the
+// same session can never run concurrently or out of submission order —
+// which is exactly the property that makes an N-worker run's replies
+// bitwise identical to a 1-worker run.
 //
 // A background refresh thread continuously republishes the queue's
 // look-ahead window into the engine (SetQueueHint, feeding the §3.3.2
@@ -22,7 +21,7 @@
 // compute (the engine mutex is free during prefill/decode).
 //
 // Shutdown protocol (graceful drain): close intake, serve every accepted
-// job to completion (active batches finish, then the queue drains), flush
+// job to completion (claimed rounds finish, then the queue drains), flush
 // the engine's async write stream, join all threads. Accepted work is never
 // dropped; load shedding happens only at intake (TrySubmit).
 #ifndef CA_SERVE_SERVING_LOOP_H_
@@ -42,7 +41,6 @@
 #include "src/common/thread_annotations.h"
 #include "src/core/cached_attention.h"
 #include "src/obs/metrics.h"
-#include "src/sched/batcher.h"
 #include "src/sched/job.h"
 #include "src/sched/job_queue.h"
 
@@ -66,7 +64,7 @@ struct ServeReply {
 
 struct ServerOptions {
   std::size_t num_workers = 4;
-  // Continuous-batch capacity per worker (slots a worker serves per round).
+  // Jobs a worker claims per round (it serves them in series).
   std::size_t max_batch_per_worker = 4;
   // TrySubmit sheds load once this many jobs are waiting (0 = never shed;
   // Submit is always unbounded — the queue grows under overload).

@@ -211,12 +211,8 @@ AttentionStore::AttentionStore(StoreConfig config, bool defer_disk)
           config_.dram_fault);
     }
     if (config_.disk_capacity > 0 && !defer_disk) {
-      DiskIoOptions io;
-      io.mode = config_.disk_io_mode;
-      io.direct_io = config_.disk_direct_io;
       auto disk =
-          FileBlockStorage::Open(config_.disk_path, config_.disk_capacity, config_.block_bytes,
-                                 io);
+          FileBlockStorage::Open(config_.disk_path, config_.disk_capacity, config_.block_bytes);
       if (disk.ok()) {
         storages_[static_cast<std::size_t>(Tier::kDisk)] =
             MaybeInjectFaults(std::move(*disk), config_.disk_fault);
@@ -275,8 +271,6 @@ Status AttentionStore::OpenDurable() {
   CA_ASSIGN_OR_RETURN(meta_, MetaStore::Open(config_.disk_path + ".meta", config_.block_bytes,
                                              FreshStoreId(), std::move(mopts)));
   DiskIoOptions io;
-  io.mode = config_.disk_io_mode;
-  io.direct_io = config_.disk_direct_io;
   io.persist = true;
   io.reuse_existing = meta_->recovered_existing();
   io.store_id = meta_->store_id();

@@ -98,10 +98,6 @@ struct StoreConfig {
   // stamp and the read-side verification — benchmark axis, not for prod.
   bool verify_checksums = true;
 
-  // Disk-tier submission strategy and O_DIRECT staging (real_payloads only).
-  DiskIoMode disk_io_mode = DiskIoMode::kAuto;
-  bool disk_direct_io = false;
-
   // --- durability (DESIGN.md §15) -------------------------------------
 
   // Journaled metadata + persistent disk tier: AttentionStore::Open() can

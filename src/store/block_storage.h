@@ -4,25 +4,23 @@
 // record's bytes across fixed-size blocks, read them back given the block
 // list, free the blocks. Implementations:
 //  * PooledBlockStorage — the common allocator-backed base; block I/O is a
-//    set of protected hooks (per-block plus batched zero-copy variants).
+//    set of protected hooks (per-block plus whole-extent zero-copy variants).
 //  * MemoryBlockStorage — heap arena (the DRAM / HBM tiers). Zero-copy I/O
 //    fills/streams arena memory directly, no staging buffer.
 //  * FileBlockStorage — one backing file (the disk tier of the
-//    real-execution path). Multi-block extents are issued as one batched
-//    submission: io_uring when the kernel allows it, pwritev/preadv
-//    coalescing otherwise, per-block pread/pwrite as the portable floor
-//    (see DiskIoMode). Opened through a fallible factory (a missing backing
-//    file disables the tier, it never aborts the process); ephemeral files
-//    are unlinked in the destructor, persistent ones (DiskIoOptions::persist,
-//    the durable disk tier of DESIGN.md §15) carry a versioned superblock
-//    and survive it.
+//    real-execution path), written and read block by block with pwrite and
+//    pread through a one-block staging buffer. Opened through a fallible
+//    factory (a missing backing file disables the tier, it never aborts the
+//    process); ephemeral files are unlinked in the destructor, persistent
+//    ones (DiskIoOptions::persist, the durable disk tier of DESIGN.md §15)
+//    carry a versioned superblock and survive it.
 //  * FaultInjectingBlockStorage (fault_injection.h) — decorator that injects
 //    deterministic I/O faults for tests and the store hammer.
 //
 // Zero-copy protocol (DESIGN.md §14): WriteZeroCopy pulls the payload from a
 // PayloadSource — successive Fill(dest) calls hand the producer destination
 // windows that cover the record exactly once, in byte order, so a serializer
-// writes straight into tier block memory (or the disk staging buffer)
+// writes straight into tier block memory (or the disk tier's block buffer)
 // instead of a caller-side std::vector. ReadZeroCopy pushes the payload into
 // a PayloadSink the same way. Both are restartable: the retry loop calls
 // Reset() and replays the whole transfer.
@@ -188,17 +186,17 @@ class PooledBlockStorage : public BlockStorage {
  protected:
   // Block I/O hooks; invoked with mutex_ held. `blocks` is the in-order
   // block list of one record, `byte_length` its exact size (the last block
-  // is partial). The per-block hooks are the portable floor; the batched
-  // hooks default to looping over them through a staging buffer and are
-  // overridden by backends that can do better (arena direct-fill, batched
-  // file submission).
+  // is partial). Backends supply the per-block hooks; the whole-extent
+  // hooks loop over them through a one-block staging buffer, and the
+  // arena-backed tier overrides them to fill and stream block memory
+  // directly.
   virtual Status WriteBlock(BlockId block, std::span<const std::uint8_t> data)
       CA_REQUIRES(mutex_) = 0;
   virtual Status ReadBlock(BlockId block, std::span<std::uint8_t> out) CA_REQUIRES(mutex_) = 0;
 
   virtual Status WriteBlocksBatch(std::span<const BlockId> blocks, std::uint64_t byte_length,
                                   PayloadSource& source) CA_REQUIRES(mutex_);
-  virtual Status ReadBlocksBatch(std::span<const BlockId> blocks, std::span<std::uint8_t> out)
+  Status ReadBlocksBatch(std::span<const BlockId> blocks, std::span<std::uint8_t> out)
       CA_REQUIRES(mutex_);
   virtual Status ReadBlocksStream(std::span<const BlockId> blocks, std::uint64_t byte_length,
                                   PayloadSink& sink) CA_REQUIRES(mutex_);
@@ -208,8 +206,7 @@ class PooledBlockStorage : public BlockStorage {
 
   mutable Mutex mutex_{"store.PooledBlockStorage"};
   BlockAllocator allocator_ CA_GUARDED_BY(mutex_);
-  // Staging buffer for the default batched-hook implementations (one block)
-  // and for file-backed streaming reads (whole extent); grown on demand.
+  // One-block staging buffer for the default whole-extent hooks.
   std::vector<std::uint8_t> scratch_ CA_GUARDED_BY(mutex_);
   // Medium label on io.write/io.read trace spans; concrete backends override
   // at construction (immutable afterwards).
@@ -239,21 +236,7 @@ class MemoryBlockStorage final : public PooledBlockStorage {
   std::vector<std::uint8_t> arena_ CA_GUARDED_BY(mutex_);
 };
 
-// Disk submission strategy for FileBlockStorage.
-enum class DiskIoMode : std::uint8_t {
-  kAuto = 0,     // io_uring if the kernel allows it, else batched
-  kUring = 1,    // io_uring submission queue (falls back to batched if unavailable)
-  kBatched = 2,  // pwritev/preadv, one syscall per contiguous block run
-  kSync = 3,     // per-block pread/pwrite (the PR3 behaviour; A/B baseline)
-};
-
 struct DiskIoOptions {
-  DiskIoMode mode = DiskIoMode::kAuto;
-  // Open the backing file O_DIRECT and pad tail writes to the 4 KiB DMA
-  // granule. Requires 4 KiB-aligned block_bytes; silently falls back to
-  // buffered I/O on filesystems that reject O_DIRECT (e.g. tmpfs).
-  bool direct_io = false;
-
   // --- durability (DESIGN.md §15) ---------------------------------------
   // Keep the backing file on destruction and stamp a versioned superblock
   // into a 4 KiB header region ahead of block 0 (all block offsets shift by
@@ -271,14 +254,13 @@ struct DiskIoOptions {
   // --- crash schedule (tests; DESIGN.md §15) ----------------------------
   // With a switch attached: once frozen, writes are swallowed before they
   // reach the file (the in-memory allocator and record table stay coherent
-  // — recovery reconciles). When crash_after_block_writes = N > 0, the
-  // batched write containing device-block write #N lands torn at that block
-  // boundary and then freezes the switch.
+  // — recovery reconciles). When crash_after_block_writes = N > 0,
+  // device-block writes 1..N land and write #N then freezes the switch, so
+  // an extent spanning it lands torn at that block boundary. The source is
+  // still consumed in full either way.
   std::shared_ptr<CrashSwitch> crash;
   std::uint64_t crash_after_block_writes = 0;
 };
-
-class UringQueue;  // raw-syscall io_uring wrapper (uring_io.h)
 
 class FileBlockStorage final : public PooledBlockStorage {
  public:
@@ -294,10 +276,6 @@ class FileBlockStorage final : public PooledBlockStorage {
   ~FileBlockStorage() override;
 
   const std::string& path() const { return path_; }
-  // Submission strategy actually in effect after probing (kAuto and kUring
-  // resolve to kBatched when io_uring is unavailable).
-  DiskIoMode io_mode() const { return io_mode_; }
-  bool direct_io() const { return direct_io_; }
   bool persist() const { return persist_; }
   std::uint64_t store_id() const { return store_id_; }
 
@@ -305,46 +283,26 @@ class FileBlockStorage final : public PooledBlockStorage {
   Status WriteBlock(BlockId block, std::span<const std::uint8_t> data)
       CA_REQUIRES(mutex_) override;
   Status ReadBlock(BlockId block, std::span<std::uint8_t> out) CA_REQUIRES(mutex_) override;
-  Status WriteBlocksBatch(std::span<const BlockId> blocks, std::uint64_t byte_length,
-                          PayloadSource& source) CA_REQUIRES(mutex_) override;
-  Status ReadBlocksBatch(std::span<const BlockId> blocks, std::span<std::uint8_t> out)
-      CA_REQUIRES(mutex_) override;
 
  private:
   FileBlockStorage(std::string path, int fd, std::uint64_t capacity_bytes,
-                   std::uint64_t block_bytes, DiskIoMode mode, bool direct,
-                   std::unique_ptr<UringQueue> uring, const DiskIoOptions& io);
+                   std::uint64_t block_bytes, const DiskIoOptions& io);
 
-  // Grows the O_DIRECT-aligned staging buffer to at least `bytes`.
-  Status EnsureAligned(std::uint64_t bytes) CA_REQUIRES(mutex_);
-
-  // Issues one batched submission (all contiguous block runs of one extent)
-  // through the active backend. `is_write` selects direction; the buffer is
-  // aligned_ for writes and `out` (or aligned_ under O_DIRECT) for reads.
-  Status SubmitRuns(std::span<const BlockId> blocks, std::span<std::uint8_t> buffer,
-                    bool is_write) CA_REQUIRES(mutex_);
+  std::uint64_t BlockOffset(BlockId block) const CA_REQUIRES(mutex_) {
+    return data_offset_ + static_cast<std::uint64_t>(block) * allocator_.block_bytes();
+  }
 
   const std::string path_;          // immutable after construction
   const int fd_;                    // immutable after construction
-  const bool direct_io_;            // immutable after construction
   const bool persist_;              // immutable after construction
   const std::uint64_t data_offset_; // immutable: superblock region (0 when ephemeral)
   const std::uint64_t store_id_;    // immutable after construction
-  DiskIoMode io_mode_;      // unguarded: set at construction / first failed probe only
-  std::unique_ptr<UringQueue> uring_ CA_GUARDED_BY(mutex_);
 
   // Crash schedule (tests; see DiskIoOptions). The switch itself is atomic;
   // the write counter is only touched under mutex_.
   const std::shared_ptr<CrashSwitch> crash_;  // immutable after construction
   const std::uint64_t crash_after_block_writes_;  // immutable after construction
   std::uint64_t crash_blocks_written_ CA_GUARDED_BY(mutex_) = 0;
-
-  // 4 KiB-aligned staging area for batched writes (and O_DIRECT reads).
-  struct AlignedDeleter {
-    void operator()(std::uint8_t* p) const;
-  };
-  std::unique_ptr<std::uint8_t[], AlignedDeleter> aligned_ CA_GUARDED_BY(mutex_);
-  std::uint64_t aligned_bytes_ CA_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace ca

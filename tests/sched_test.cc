@@ -1,7 +1,6 @@
-// Scheduler tests: FIFO job queue, look-ahead hints, continuous batcher.
+// Scheduler tests: FIFO job queue and look-ahead hints.
 #include <gtest/gtest.h>
 
-#include "src/sched/batcher.h"
 #include "src/sched/job.h"
 #include "src/sched/job_queue.h"
 
@@ -58,93 +57,6 @@ TEST(JobQueueTest, HintsRespectWindowAndEarliestUse) {
   EXPECT_FALSE(hints.InWindow(7));  // outside window of 3
 }
 
-TEST(BatcherTest, AdmitAndCapacity) {
-  ContinuousBatcher batcher(2);
-  EXPECT_TRUE(batcher.HasSlot());
-  batcher.Admit(MakeJob(1, 10), 3);
-  batcher.Admit(MakeJob(2, 11), 1);
-  EXPECT_FALSE(batcher.HasSlot());
-  EXPECT_EQ(batcher.active(), 2U);
-  EXPECT_EQ(batcher.free_slots(), 0U);
-}
-
-TEST(BatcherTest, StepCompletesJobsIndividually) {
-  ContinuousBatcher batcher(4);
-  batcher.Admit(MakeJob(1, 10), 2);
-  batcher.Admit(MakeJob(2, 11), 1);
-  auto done = batcher.StepIteration();
-  ASSERT_EQ(done.size(), 1U);
-  EXPECT_EQ(done[0].id, 2ULL);
-  EXPECT_EQ(batcher.active(), 1U);
-  EXPECT_TRUE(batcher.HasSlot());  // continuous batching: slot freed mid-flight
-  done = batcher.StepIteration();
-  ASSERT_EQ(done.size(), 1U);
-  EXPECT_EQ(done[0].id, 1ULL);
-  EXPECT_TRUE(batcher.empty());
-}
-
-TEST(BatcherTest, NewJobJoinsRunningBatch) {
-  ContinuousBatcher batcher(4);
-  batcher.Admit(MakeJob(1, 10), 3);
-  (void)batcher.StepIteration();
-  batcher.Admit(MakeJob(2, 11), 2);  // joins after one iteration
-  auto done = batcher.StepIteration();
-  EXPECT_TRUE(done.empty());  // job1 has 1 left, job2 has 1 left
-  done = batcher.StepIteration();
-  EXPECT_EQ(done.size(), 2U);
-}
-
-TEST(BatcherTest, ActiveJobsLists) {
-  ContinuousBatcher batcher(4);
-  batcher.Admit(MakeJob(7, 10), 2);
-  const auto active = batcher.ActiveJobs();
-  ASSERT_EQ(active.size(), 1U);
-  EXPECT_EQ(active[0], 7ULL);
-}
-
-TEST(BatcherTest, TryAdmitShedsWhenFullInsteadOfAborting) {
-  ContinuousBatcher batcher(1);
-  EXPECT_TRUE(batcher.TryAdmit(MakeJob(1, 10), 2));
-  EXPECT_FALSE(batcher.TryAdmit(MakeJob(2, 11), 1));  // full: shed, don't die
-  EXPECT_EQ(batcher.active(), 1U);
-  (void)batcher.StepIteration();  // job 1: 1 iteration left
-  auto done = batcher.StepIteration();
-  ASSERT_EQ(done.size(), 1U);
-  EXPECT_EQ(done[0].id, 1ULL);
-  EXPECT_TRUE(batcher.TryAdmit(MakeJob(2, 11), 1));  // slot freed
-}
-
-TEST(BatcherTest, StepCompletesInAdmissionOrder) {
-  // Ids chosen to scramble under typical unordered_map hashing; the batcher
-  // must return completions in admission order regardless.
-  ContinuousBatcher batcher(8);
-  const std::vector<JobId> admitted = {23, 7, 101, 4, 55};
-  for (const JobId id : admitted) {
-    batcher.Admit(MakeJob(id, 10 + id), 1);
-  }
-  const auto done = batcher.StepIteration();
-  ASSERT_EQ(done.size(), admitted.size());
-  for (std::size_t i = 0; i < admitted.size(); ++i) {
-    EXPECT_EQ(done[i].id, admitted[i]) << "completion " << i;
-  }
-}
-
-TEST(BatcherTest, ActiveJobsListsInAdmissionOrder) {
-  ContinuousBatcher batcher(8);
-  const std::vector<JobId> admitted = {42, 3, 77, 12};
-  for (const JobId id : admitted) {
-    batcher.Admit(MakeJob(id, 10 + id), 2);
-  }
-  EXPECT_EQ(batcher.ActiveJobs(), admitted);
-  // Completion frees a slot; re-admission goes to the back of the order.
-  (void)batcher.StepIteration();
-  (void)batcher.StepIteration();
-  EXPECT_TRUE(batcher.empty());
-  batcher.Admit(MakeJob(3, 13), 1);
-  batcher.Admit(MakeJob(42, 52), 1);
-  EXPECT_EQ(batcher.ActiveJobs(), (std::vector<JobId>{3, 42}));
-}
-
 TEST(JobQueueTest, PopFirstRunnableSkipsBlockedSessions) {
   JobQueue q;
   q.Push(MakeJob(1, 5));  // session 5, earliest
@@ -174,18 +86,6 @@ TEST(JobQueueTest, WindowSnapshotTruncatesHeadFirst) {
   EXPECT_EQ(q.WindowSnapshot(2), (std::vector<SessionId>{30, 20}));
   EXPECT_EQ(q.WindowSnapshot(9), (std::vector<SessionId>{30, 20, 10}));
   EXPECT_TRUE(q.WindowSnapshot(0).empty());
-}
-
-TEST(BatcherDeathTest, OverfullAborts) {
-  ContinuousBatcher batcher(1);
-  batcher.Admit(MakeJob(1, 10), 1);
-  EXPECT_DEATH(batcher.Admit(MakeJob(2, 11), 1), "batch full");
-}
-
-TEST(BatcherDeathTest, DuplicateJobAborts) {
-  ContinuousBatcher batcher(2);
-  batcher.Admit(MakeJob(1, 10), 1);
-  EXPECT_DEATH(batcher.Admit(MakeJob(1, 10), 1), "already active");
 }
 
 }  // namespace

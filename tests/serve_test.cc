@@ -1,4 +1,4 @@
-// ServingLoop tests: the JobQueue → ContinuousBatcher → engine runtime.
+// ServingLoop tests: the JobQueue → worker threads → engine runtime.
 //
 //   * per-session ordering under contention (turns of one conversation are
 //     served in submission order even with more workers than sessions);

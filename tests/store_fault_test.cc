@@ -359,11 +359,10 @@ TEST(StoreFault, ZeroCopyTornWriteDetectedByChecksum) {
   store.CheckInvariants();
 }
 
-TEST(StoreFault, TornBatchedDiskWriteDetectedByChecksum) {
-  // Same contract on the disk tier's batched (pwritev/io_uring) submission
-  // path: a write that lands damaged is a clean kDataLoss miss on read.
+TEST(StoreFault, TornDiskWriteDetectedByChecksum) {
+  // Same contract on the disk tier's file writes: a write that lands
+  // damaged is a clean kDataLoss miss on read.
   StoreConfig config = FaultedConfig();
-  config.disk_io_mode = DiskIoMode::kBatched;
   config.quarantine_after = 1000;
   config.disk_fault.write_corrupt_p = 1.0;
   AttentionStore store(config);

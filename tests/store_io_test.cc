@@ -1,11 +1,13 @@
 // I/O-path tests for the block storage backends (DESIGN.md §14): the
 // zero-copy write/read protocol must be byte-for-byte equivalent to the
-// legacy copy path on every backend, and FileBlockStorage must round-trip
-// identically under each DiskIoMode (io_uring, batched pwritev/preadv,
-// per-block sync) with and without O_DIRECT staging.
+// legacy copy path on every backend, and FileBlockStorage's crash schedule
+// must tear an extent at exactly the scheduled device-block write.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <span>
 #include <string>
@@ -75,37 +77,58 @@ class PatternSource final : public PayloadSource {
   std::size_t fills_ = 0;
 };
 
+// One backend under test: the arena tier or the disk tier's file, at a block
+// size. 4 KiB is the page-sized default, 1000 B a block that is neither a
+// power of two nor sector-aligned, 32 KiB the serving benchmark's block; a
+// persisted file shifts every block behind its 4 KiB superblock region.
 struct BackendParam {
   const char* name;
   bool file;
-  DiskIoMode mode;
-  bool direct;
+  std::uint64_t block;
+  bool persist;
 };
 
 class IoBackendTest : public ::testing::TestWithParam<BackendParam> {
  protected:
-  std::unique_ptr<BlockStorage> MakeStorage(std::uint64_t capacity, std::uint64_t block) {
+  void TearDown() override {
+    if (GetParam().persist) {
+      std::remove(Path().c_str());  // persisted files outlive their storage
+    }
+  }
+
+  std::uint64_t Block() const { return GetParam().block; }
+
+  // One file per test and backend: ctest runs the cases as parallel
+  // processes, and a shared path would let one truncate another's file.
+  std::string Path() const {
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string name = info->name();  // "<Test>/<backend>"
+    std::replace(name.begin(), name.end(), '/', '_');
+    return testing::TempDir() + "/ca_store_io_" + name + ".blocks";
+  }
+
+  std::unique_ptr<BlockStorage> MakeStorage(std::uint64_t capacity_blocks) {
     const BackendParam& p = GetParam();
     if (!p.file) {
-      return std::make_unique<MemoryBlockStorage>(capacity, block);
+      return std::make_unique<MemoryBlockStorage>(capacity_blocks * p.block, p.block);
     }
     DiskIoOptions io;
-    io.mode = p.mode;
-    io.direct_io = p.direct;
-    auto opened = FileBlockStorage::Open(
-        testing::TempDir() + "/ca_store_io_" + p.name + ".blocks", capacity, block, io);
+    io.persist = p.persist;
+    io.store_id = 7;
+    auto opened = FileBlockStorage::Open(Path(), capacity_blocks * p.block, p.block, io);
     CA_CHECK(opened.ok()) << opened.status();
     return std::move(*opened);
   }
 };
 
 TEST_P(IoBackendTest, ZeroCopyWriteMatchesLegacyRead) {
-  auto storage = MakeStorage(KiB(256), KiB(4));
-  const std::uint64_t n = KiB(4) * 5 + 321;  // 6 blocks, partial tail
+  auto storage = MakeStorage(64);
+  const std::uint64_t n = Block() * 5 + 321;  // 6 blocks, partial tail
   PatternSource source(n);
   auto extent = storage->WriteZeroCopy(source);
   ASSERT_TRUE(extent.ok()) << extent.status();
   EXPECT_EQ(extent->byte_length, n);
+  EXPECT_EQ(extent->blocks.size(), 6U);
   EXPECT_GE(source.fills(), 1U);
   auto read = storage->Read(*extent);
   ASSERT_TRUE(read.ok()) << read.status();
@@ -115,8 +138,8 @@ TEST_P(IoBackendTest, ZeroCopyWriteMatchesLegacyRead) {
 }
 
 TEST_P(IoBackendTest, LegacyWriteMatchesZeroCopyRead) {
-  auto storage = MakeStorage(KiB(256), KiB(4));
-  const auto data = Payload(KiB(4) * 3 + 17, 5);
+  auto storage = MakeStorage(64);
+  const auto data = Payload(Block() * 3 + 17, 5);
   auto extent = storage->Write(data);
   ASSERT_TRUE(extent.ok()) << extent.status();
   CollectSink sink;
@@ -125,8 +148,8 @@ TEST_P(IoBackendTest, LegacyWriteMatchesZeroCopyRead) {
 }
 
 TEST_P(IoBackendTest, ReadIntoCallerBuffer) {
-  auto storage = MakeStorage(KiB(64), KiB(4));
-  const auto data = Payload(KiB(4) + 99, 7);
+  auto storage = MakeStorage(16);
+  const auto data = Payload(Block() + 99, 7);
   auto extent = storage->Write(data);
   ASSERT_TRUE(extent.ok());
   std::vector<std::uint8_t> out(data.size());
@@ -139,19 +162,24 @@ TEST_P(IoBackendTest, ReadIntoCallerBuffer) {
 }
 
 TEST_P(IoBackendTest, MalformedExtentIsInternalNotAbort) {
-  auto storage = MakeStorage(KiB(64), KiB(4));
+  auto storage = MakeStorage(16);
   BlockExtent bogus;
   bogus.blocks = {0, 1};
-  bogus.byte_length = KiB(4) * 3;  // 3 blocks of bytes, 2 block ids
+  bogus.byte_length = Block() * 3;  // 3 blocks of bytes, 2 block ids
   std::vector<std::uint8_t> out(bogus.byte_length);
   EXPECT_EQ(storage->ReadInto(bogus, out).code(), StatusCode::kInternal);
   CollectSink sink;
   EXPECT_EQ(storage->ReadZeroCopy(bogus, sink).code(), StatusCode::kInternal);
+  // An in-shape extent naming a block past the pool is malformed too.
+  BlockExtent out_of_range;
+  out_of_range.blocks = {0, 16};
+  out_of_range.byte_length = Block() * 2;
+  EXPECT_EQ(storage->ReadZeroCopy(out_of_range, sink).code(), StatusCode::kInternal);
 }
 
 TEST_P(IoBackendTest, SingleByteAndFullBlockEdges) {
-  auto storage = MakeStorage(KiB(64), KiB(4));
-  for (const std::uint64_t n : {std::uint64_t{1}, KiB(4), KiB(4) * 2}) {
+  auto storage = MakeStorage(16);
+  for (const std::uint64_t n : {std::uint64_t{1}, Block(), Block() * 2}) {
     PatternSource source(n);
     auto extent = storage->WriteZeroCopy(source);
     ASSERT_TRUE(extent.ok()) << "n=" << n << ": " << extent.status();
@@ -162,88 +190,193 @@ TEST_P(IoBackendTest, SingleByteAndFullBlockEdges) {
   }
 }
 
+TEST_P(IoBackendTest, TransfersMoveOneBlockPerFillAndChunk) {
+  // The one I/O path: a write hands the source one destination window per
+  // block, and a streamed read hands the sink one chunk per block, each
+  // exactly the block's share of the record.
+  auto storage = MakeStorage(16);
+  const std::uint64_t n = Block() * 4 + 7;  // 5 blocks, 7-byte tail
+  PatternSource source(n);
+  auto extent = storage->WriteZeroCopy(source);
+  ASSERT_TRUE(extent.ok()) << extent.status();
+  EXPECT_EQ(source.fills(), 5U);
+  struct SizeSink final : PayloadSink {
+    std::vector<std::size_t> sizes;
+    void Reset() override { sizes.clear(); }
+    void Consume(std::span<const std::uint8_t> chunk) override { sizes.push_back(chunk.size()); }
+  } sink;
+  ASSERT_TRUE(storage->ReadZeroCopy(*extent, sink).ok());
+  const std::size_t b = Block();
+  EXPECT_EQ(sink.sizes, (std::vector<std::size_t>{b, b, b, b, 7}));
+}
+
+TEST_P(IoBackendTest, FragmentedFreeAndRewriteRoundTrips) {
+  // Random free-and-rewrite churn over a small pool, so later extents land
+  // on scattered, non-ascending blocks: every live record must still read
+  // back byte for byte, and the pool's count must match the live extents.
+  auto storage = MakeStorage(48);
+  struct Live {
+    BlockExtent extent;
+    std::vector<std::uint8_t> bytes;
+  };
+  std::vector<Live> live;
+  Rng rng(99);
+  std::size_t scattered = 0;
+  for (std::uint64_t op = 0; op < 300; ++op) {
+    const bool must_free = live.size() >= 8;
+    if (!live.empty() && (must_free || rng.NextBounded(3) == 0)) {
+      const std::size_t victim = rng.NextBounded(live.size());
+      storage->Free(live[victim].extent);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+      continue;
+    }
+    const std::uint64_t n = Block() * rng.NextBounded(5) + 1 + rng.NextBounded(Block());
+    auto bytes = Payload(n, 1000 + op);
+    auto extent = storage->Write(bytes);
+    ASSERT_TRUE(extent.ok()) << "op " << op << ": " << extent.status();
+    if (!std::is_sorted(extent->blocks.begin(), extent->blocks.end())) {
+      ++scattered;
+    }
+    live.push_back({std::move(*extent), std::move(bytes)});
+  }
+  EXPECT_GT(scattered, 0U) << "churn never produced a non-ascending extent";
+  std::uint64_t live_blocks = 0;
+  for (const Live& record : live) {
+    auto read = storage->Read(record.extent);
+    ASSERT_TRUE(read.ok()) << read.status();
+    EXPECT_EQ(*read, record.bytes);
+    live_blocks += record.extent.blocks.size();
+  }
+  EXPECT_EQ(storage->UsedBlocks(), live_blocks);
+}
+
+TEST_P(IoBackendTest, ExhaustedPoolFailsCleanlyAndKeepsRecords) {
+  auto storage = MakeStorage(4);
+  const auto kept = Payload(Block() * 2 + 5, 31);  // 3 of the 4 blocks
+  auto extent = storage->Write(kept);
+  ASSERT_TRUE(extent.ok()) << extent.status();
+  const auto too_big = Payload(Block() + 1, 32);  // needs 2, 1 is free
+  auto refused = storage->Write(too_big);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(storage->UsedBlocks(), 3U);  // the refusal claimed nothing
+  auto read = storage->Read(*extent);
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(*read, kept);
+  storage->Free(*extent);
+  auto retried = storage->Write(too_big);
+  ASSERT_TRUE(retried.ok()) << retried.status();
+  auto reread = storage->Read(*retried);
+  ASSERT_TRUE(reread.ok()) << reread.status();
+  EXPECT_EQ(*reread, too_big);
+}
+
+TEST_P(IoBackendTest, AdoptExtentClaimsExactlyItsBlocks) {
+  auto storage = MakeStorage(8);
+  BlockExtent adopted;
+  adopted.blocks = {5, 2, 3};
+  adopted.byte_length = Block() * 2 + 10;
+  ASSERT_TRUE(storage->AdoptExtent(adopted).ok());
+  EXPECT_EQ(storage->UsedBlocks(), 3U);
+  // A second claim on a held block fails and claims nothing.
+  BlockExtent overlapping;
+  overlapping.blocks = {1, 3};
+  overlapping.byte_length = Block() + 1;
+  EXPECT_EQ(storage->AdoptExtent(overlapping).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(storage->UsedBlocks(), 3U);
+  // New writes get only the blocks the adoption left free.
+  auto fresh = storage->Write(Payload(Block() * 5, 41));
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  for (const BlockId block : fresh->blocks) {
+    EXPECT_TRUE(block != 5 && block != 2 && block != 3) << "block " << block;
+  }
+  EXPECT_EQ(storage->UsedBlocks(), 8U);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Backends, IoBackendTest,
-    ::testing::Values(BackendParam{"mem", false, DiskIoMode::kAuto, false},
-                      BackendParam{"auto", true, DiskIoMode::kAuto, false},
-                      BackendParam{"uring", true, DiskIoMode::kUring, false},
-                      BackendParam{"batched", true, DiskIoMode::kBatched, false},
-                      BackendParam{"sync", true, DiskIoMode::kSync, false},
-                      BackendParam{"direct", true, DiskIoMode::kAuto, true}),
+    ::testing::Values(BackendParam{"mem", false, KiB(4), false},
+                      BackendParam{"mem_odd_block", false, 1000, false},
+                      BackendParam{"file", true, KiB(4), false},
+                      BackendParam{"file_odd_block", true, 1000, false},
+                      BackendParam{"file_large_block", true, KiB(32), false},
+                      BackendParam{"file_persist", true, KiB(4), true}),
     [](const auto& param_info) { return std::string(param_info.param.name); });
 
-// --- FileBlockStorage mode resolution ------------------------------------
+// --- FileBlockStorage crash schedule -------------------------------------
 
-TEST(FileIoModeTest, AutoResolvesToUringOrBatched) {
-  auto opened = FileBlockStorage::Open(testing::TempDir() + "/ca_io_mode_auto.blocks", KiB(64),
-                                       KiB(4), DiskIoOptions{});
-  ASSERT_TRUE(opened.ok());
-  const DiskIoMode mode = (*opened)->io_mode();
-  EXPECT_TRUE(mode == DiskIoMode::kUring || mode == DiskIoMode::kBatched)
-      << static_cast<int>(mode);
-}
-
-TEST(FileIoModeTest, UringRequestFallsBackCleanly) {
+// A persisted file holds an 8-block extent of old bytes. Reopened with
+// crash_after_block_writes = N, a fresh allocator hands out the same blocks
+// and the overwrite lands device-block writes 1..N; write #N freezes the
+// switch and later blocks are swallowed, yet the source is still filled for
+// every block. A third open reads the torn mix back from the file. An N past
+// the extent lands every block and leaves the switch unfrozen.
+void ExpectOverwriteTornAfter(std::uint64_t crash_after, const std::string& tag) {
+  constexpr std::uint64_t kBlock = KiB(4);
+  constexpr std::uint64_t kBlocks = 8;
+  const std::uint64_t landed = std::min(crash_after, kBlocks);
+  const std::string path = testing::TempDir() + "/ca_io_crash_schedule_" + tag + ".blocks";
+  const std::uint64_t n = kBlock * (kBlocks - 1) + 123;  // partial tail block
+  const auto old_bytes = Payload(n, 21);
   DiskIoOptions io;
-  io.mode = DiskIoMode::kUring;
-  auto opened =
-      FileBlockStorage::Open(testing::TempDir() + "/ca_io_mode_uring.blocks", KiB(64), KiB(4), io);
-  ASSERT_TRUE(opened.ok());
-  // Sandboxed kernels refuse io_uring_setup; either outcome must round-trip.
-  const DiskIoMode mode = (*opened)->io_mode();
-  EXPECT_TRUE(mode == DiskIoMode::kUring || mode == DiskIoMode::kBatched);
-  const auto data = Payload(KiB(4) * 2 + 5, 11);
-  auto extent = (*opened)->Write(data);
-  ASSERT_TRUE(extent.ok());
-  auto read = (*opened)->Read(*extent);
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(*read, data);
-}
-
-TEST(FileIoModeTest, DirectIoUnalignedBlockFallsBackToBuffered) {
-  DiskIoOptions io;
-  io.direct_io = true;
-  auto opened = FileBlockStorage::Open(testing::TempDir() + "/ca_io_mode_direct.blocks", 10000,
-                                       1000, io);  // block size not 4 KiB aligned
-  ASSERT_TRUE(opened.ok());
-  EXPECT_FALSE((*opened)->direct_io());
-  const auto data = Payload(2500, 13);
-  auto extent = (*opened)->Write(data);
-  ASSERT_TRUE(extent.ok());
-  auto read = (*opened)->Read(*extent);
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(*read, data);
-}
-
-TEST(FileIoModeTest, CrossModeReadback) {
-  // Bytes written under one submission strategy must read back under
-  // another: the wire layout (block placement) is mode-invariant.
-  const std::string path = testing::TempDir() + "/ca_io_cross_mode.blocks";
-  const auto data = Payload(KiB(4) * 3 + 77, 17);
+  io.persist = true;
+  io.store_id = 77;
   BlockExtent extent;
   {
-    DiskIoOptions io;
-    io.mode = DiskIoMode::kBatched;
-    auto writer = FileBlockStorage::Open(path + ".w", KiB(64), KiB(4), io);
-    ASSERT_TRUE(writer.ok());
-    auto written = (*writer)->Write(data);
-    ASSERT_TRUE(written.ok());
-    auto read = (*writer)->Read(*written);
-    ASSERT_TRUE(read.ok());
-    EXPECT_EQ(*read, data);
+    auto fresh = FileBlockStorage::Open(path, KiB(64), kBlock, io);
+    ASSERT_TRUE(fresh.ok()) << fresh.status();
+    auto written = (*fresh)->Write(old_bytes);
+    ASSERT_TRUE(written.ok()) << written.status();
+    extent = *written;
   }
+  ASSERT_EQ(extent.blocks.size(), kBlocks);
+
+  io.reuse_existing = true;
   {
-    DiskIoOptions io;
-    io.mode = DiskIoMode::kSync;
-    auto writer = FileBlockStorage::Open(path + ".s", KiB(64), KiB(4), io);
-    ASSERT_TRUE(writer.ok());
-    auto written = (*writer)->Write(data);
-    ASSERT_TRUE(written.ok());
-    CollectSink sink;
-    ASSERT_TRUE((*writer)->ReadZeroCopy(*written, sink).ok());
-    EXPECT_EQ(sink.data, data);
+    DiskIoOptions crashing_io = io;
+    crashing_io.crash = std::make_shared<CrashSwitch>();
+    crashing_io.crash_after_block_writes = crash_after;
+    auto crashing = FileBlockStorage::Open(path, KiB(64), kBlock, crashing_io);
+    ASSERT_TRUE(crashing.ok()) << crashing.status();
+    PatternSource source(n);
+    auto rewritten = (*crashing)->WriteZeroCopy(source);
+    ASSERT_TRUE(rewritten.ok()) << rewritten.status();
+    EXPECT_EQ(rewritten->blocks, extent.blocks);
+    EXPECT_EQ(source.fills(), kBlocks);  // every block was produced
+    EXPECT_EQ(crashing_io.crash->frozen.load(), crash_after <= kBlocks);
   }
+
+  {
+    auto reopened = FileBlockStorage::Open(path, KiB(64), kBlock, io);
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    ASSERT_TRUE((*reopened)->AdoptExtent(extent).ok());
+    auto read = (*reopened)->Read(extent);
+    ASSERT_TRUE(read.ok()) << read.status();
+    std::vector<std::uint8_t> expected = PatternSource::Expected(n);
+    if (landed * kBlock < n) {
+      std::copy(old_bytes.begin() + landed * kBlock, old_bytes.end(),
+                expected.begin() + landed * kBlock);
+    }
+    EXPECT_EQ(*read, expected);
+  }
+  std::remove(path.c_str());
 }
+
+TEST(FileCrashScheduleTest, OverwriteTearsAtTheScheduledBlockWrite) {
+  ExpectOverwriteTornAfter(3, "mid");
+}
+
+class FileCrashScheduleEdgeTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FileCrashScheduleEdgeTest, OverwriteLandsExactlyTheScheduledBlocks) {
+  ExpectOverwriteTornAfter(GetParam(), std::to_string(GetParam()));
+}
+
+// First block only, the extent's last (partial) block, and past the extent.
+INSTANTIATE_TEST_SUITE_P(CrashAfter, FileCrashScheduleEdgeTest, ::testing::Values(1, 8, 12),
+                         [](const auto& param_info) {
+                           return "block_" + std::to_string(param_info.param);
+                         });
 
 // --- AttentionStore zero-copy spine --------------------------------------
 
